@@ -8,9 +8,7 @@
 * :mod:`repro.analysis.sweep` -- the sweep subsystem: declarative
   :class:`~repro.analysis.sweep.SweepSpec` grids with per-point seed
   derivation, a :class:`~repro.analysis.sweep.SweepExecutor` with serial
-  and process backends, JSON row emission, and the legacy
-  :func:`~repro.analysis.sweep.sweep` / :func:`~repro.analysis.sweep.cross_sweep`
-  helpers.
+  and process backends, and JSON row emission.
 * :mod:`repro.analysis.adaptive` -- adaptive measurement on top of the
   sweep subsystem: sequential early stopping per point and a
   budget-reallocating scheduler.
@@ -45,9 +43,7 @@ grid as a :class:`SweepSpec`, and run both through an
     # StopRule simulates only the batches the first run never needed.
 
 ``stop=None`` selects fixed depth (``num_packets`` per point, the mode
-wall-clock-pinned perf benchmarks need); the legacy ``sweep`` /
-``cross_sweep`` / params-dict ``run_link_ber_point`` entry points remain
-as deprecated shims over this path.
+wall-clock-pinned perf benchmarks need).
 
 For serve-curves-on-demand deployments, :mod:`repro.service` runs this
 stack as a long-lived daemon: a broker dedupes requests against the
@@ -96,7 +92,6 @@ from repro.analysis.adaptive import (
     batch_seed_sequence,
     batch_store_key,
     run_link_ber_batch,
-    run_point_adaptive,
 )
 from repro.analysis.ber_stats import BerMeasurement, bin_errors_by_hint, wilson_interval
 from repro.analysis.link import LinkRunResult, LinkSimulator
@@ -108,12 +103,9 @@ from repro.analysis.sweep import (
     SweepExecutor,
     SweepPoint,
     SweepSpec,
-    cross_sweep,
     executor_from_env,
     link_simulator_for_params,
     rows_to_json,
-    run_link_ber_point,
-    sweep,
 )
 
 __all__ = [
@@ -138,16 +130,12 @@ __all__ = [
     "batch_seed_sequence",
     "batch_store_key",
     "bin_errors_by_hint",
-    "cross_sweep",
     "executor_from_env",
     "format_percentage",
     "format_ratio",
     "link_simulator_for_params",
     "rows_to_json",
     "run_link_ber_batch",
-    "run_link_ber_point",
-    "run_point_adaptive",
     "run_scenario_point",
-    "sweep",
     "wilson_interval",
 ]

@@ -8,9 +8,9 @@ meaninglessly wide confidence interval.  This module turns the grid of
 fixed runs into a characterisation *service* — "give me this BER curve to
 ±X% confidence within budget B" — in two layers:
 
-* :func:`run_point_adaptive` wraps any picklable chunk-runner in a
-  sequential-stopping loop for **one** point: fixed-size batches accumulate
-  a :class:`~repro.analysis.ber_stats.BerMeasurement` until a
+* :class:`AdaptivePointState` is one point's sequential-stopping state:
+  fixed-size batches accumulate a
+  :class:`~repro.analysis.ber_stats.BerMeasurement` until a
   :class:`StopRule` fires (Wilson interval tight enough, enough errors
   collected, traffic cap hit).
 * :class:`AdaptiveScheduler` drives a whole
@@ -393,42 +393,6 @@ class AdaptivePointState:
         return row
 
 
-def run_point_adaptive(point, chunk_runner, stop, batch_packets=32,
-                       max_batches=None):
-    """Adaptively measure one point: run batches until ``stop`` fires.
-
-    The in-process sequential loop behind the adaptive mode of
-    :func:`repro.analysis.sweep.run_link_ber_point`: batch ``k`` is seeded
-    by :func:`batch_seed_sequence`, so the accumulated result is a pure
-    function of ``(point, chunk_runner, stop, batch_packets)`` no matter
-    where or when it runs.  Returns the per-point row (see
-    :meth:`AdaptivePointState.row`).
-
-    ``stop`` must be able to terminate on its own (``max_packets`` or
-    ``target_errors`` plus converging statistics) unless ``max_batches``
-    bounds the loop explicitly.
-    """
-    if stop is None:
-        raise ValueError("run_point_adaptive needs a StopRule; for fixed "
-                         "depth just run the chunk runner directly")
-    if batch_packets < 1:
-        raise ValueError("batch_packets must be positive")
-    if max_batches is None and stop.max_packets is None:
-        raise ValueError(
-            "unbounded adaptive point: give the StopRule a max_packets cap "
-            "or pass max_batches"
-        )
-    state = AdaptivePointState(point)
-    while state.stop_reason is None:
-        batch = state.next_batch(batch_packets)
-        state.consume(batch, chunk_runner(batch), confidence=stop.confidence)
-        state.stop_reason = stop.evaluate(state.measurement, state.packets)
-        if state.stop_reason is None and max_batches is not None \
-                and state.batches >= max_batches:
-            state.stop_reason = "max_batches"
-    return state.row(stop)
-
-
 # ---------------------------------------------------------------------- #
 # Executor-facing dispatch shims
 # ---------------------------------------------------------------------- #
@@ -809,7 +773,7 @@ def run_link_ber_batch(batch):
     """Picklable chunk-runner: one batch of link packets at one point.
 
     The adaptive analogue of
-    :func:`repro.analysis.sweep.run_link_ber_point`: understands the same
+    :func:`repro.analysis.scenario.run_scenario_point`: understands the same
     parameters (``rate_mbps``, ``snr_db``, ``decoder``, ``packet_bits``,
     ``batch_size``, ``fading``, ``llr_format``, ``demapper_scaled``), but
     simulates ``batch.num_packets`` packets seeded from ``batch.seed``.

@@ -235,27 +235,23 @@ class LinkSimulator:
     # ------------------------------------------------------------------ #
     # Simulation
     # ------------------------------------------------------------------ #
-    def run(self, num_packets, batch_size=32, start_index=0, fused=True):
+    def run(self, num_packets, batch_size=32, start_index=0):
         """Simulate ``num_packets`` packets and return a :class:`LinkRunResult`.
 
         Packets are processed in batches so the batched kernels stay busy
         without exhausting memory; the per-batch results are collected and
         merged once at the end.
 
-        With ``fused=True`` (the default) consecutive batches are fused
-        into kernel passes of up to :data:`FUSED_PACKET_TARGET` packets,
-        which keeps the decoder in its measured per-packet sweet spot.
-        Because both RNG streams draw chunk-invariantly along the packet
-        axis, the results are bit-for-bit identical for *any* batch split
-        of the same run -- ``fused`` is purely a throughput knob.  Pass
-        ``fused=False`` to iterate at exactly ``batch_size`` (e.g. to
-        bound peak memory).
+        Consecutive batches are fused into kernel passes of up to
+        :data:`FUSED_PACKET_TARGET` packets (never fewer than
+        ``batch_size``), which keeps the decoder in its measured
+        per-packet sweet spot.  Because both RNG streams draw
+        chunk-invariantly along the packet axis, the results are
+        bit-for-bit identical for *any* batch split of the same run.
         """
         if num_packets < 1:
             raise ValueError("at least one packet is required")
-        kernel_batch = batch_size
-        if fused:
-            kernel_batch = max(batch_size, min(num_packets, FUSED_PACKET_TARGET))
+        kernel_batch = max(batch_size, min(num_packets, FUSED_PACKET_TARGET))
         batches = []
         for first in range(0, num_packets, kernel_batch):
             count = min(kernel_batch, num_packets - first)

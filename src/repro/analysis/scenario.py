@@ -3,10 +3,9 @@
 Every figure and ablation in this repository describes the same thing: a
 *link configuration* (code rate/decoder, channel and fading, LLR format
 and demapper scaling, packet shape) swept over a grid of operating points
-to some target measurement depth.  Historically that description lived in
-a stringly-typed ``point.params`` dict that
-:func:`~repro.analysis.sweep.run_link_ber_point` interpreted by
-convention; this module makes it first class:
+to some target measurement depth.  The point-runners receive that
+description as a plain ``point.params`` dict; this module makes it first
+class:
 
 * :class:`Scenario` is a validated, frozen dataclass naming the link
   configuration.  It round-trips through :meth:`Scenario.to_dict` /
@@ -19,9 +18,7 @@ convention; this module makes it first class:
   (the ``executor`` argument of :meth:`Experiment.run`), and optional
   persistence/resume through a :class:`~repro.analysis.store.ResultStore`.
 * :func:`run_scenario_point` is the canonical picklable link point-runner
-  behind the fixed-depth default; the legacy params-dict entry points
-  (``run_link_ber_point``, ``sweep``, ``cross_sweep``) are deprecated
-  shims over this layer.
+  behind the fixed-depth default.
 
 Scenario versus workload knobs
 ------------------------------
@@ -256,13 +253,12 @@ class Scenario:
 
     @classmethod
     def from_params(cls, params):
-        """Build a scenario from a legacy sweep ``params`` dict.
+        """Build a scenario from a sweep point's ``params`` dict.
 
         Picks out the link-configuration keys and ignores workload knobs
-        (``num_packets``, ``batch_size``, ``stop``, ``batch_packets``,
-        custom runner parameters).  This is what the deprecated
-        params-dict entry points use internally, so their validation is
-        the Scenario's, not an ad-hoc copy.
+        (``num_packets``, ``batch_size``, ``batch_packets``, custom runner
+        parameters).  :func:`run_scenario_point` validates every point
+        through it, so its checks are the Scenario's, not an ad-hoc copy.
         """
         known = {field.name for field in fields(cls)}
         picked = {name: params[name] for name in known if name in params}
@@ -337,57 +333,23 @@ def is_scenario_like(obj):
 def run_scenario_point(point):
     """Picklable point-runner: one link BER measurement per operating point.
 
-    The canonical implementation behind fixed-depth link experiments (and
-    the deprecated ``run_link_ber_point`` shim).  The link configuration
-    is validated as a :class:`Scenario` built from the point's params
-    (axes plus constants); measurement depth comes from the workload
-    knobs:
+    The canonical implementation behind fixed-depth link experiments.  The
+    link configuration is validated as a :class:`Scenario` built from the
+    point's params (axes plus constants); every point simulates exactly
+    ``num_packets`` packets from one seed stream (the wall-clock-pinned
+    perf benchmarks rely on this mode costing the same everywhere).
 
-    ``stop=None`` (default)
-        Fixed depth — exactly ``num_packets`` packets, one seed stream per
-        point (the wall-clock-pinned perf benchmarks rely on this mode
-        costing the same everywhere).
-    ``stop=StopRule(...)``
-        Adaptive depth — the point runs in fixed-size batches of
-        ``batch_packets`` packets (default ``batch_size``) through
-        :func:`repro.analysis.adaptive.run_point_adaptive` until the rule
-        fires; ``num_packets`` becomes the per-point traffic cap when the
-        rule itself has no ``max_packets``.  The row gains ``packets``,
-        ``batches``, ``stop_reason`` and Wilson interval bounds.
+    Adaptive depth is not a point param: a ``stop`` param is refused with
+    a :class:`ValueError` rather than silently run at fixed depth — pass
+    the rule as ``Experiment(stop=...)``.
     """
     params = point.params
+    if params.get("stop") is not None:
+        raise ValueError(
+            "run_scenario_point runs at fixed depth and does not read a "
+            "'stop' param; pass the StopRule as Experiment(stop=...) for "
+            "adaptive depth")
     Scenario.from_params(params)  # validate the link description early
-    stop = params.get("stop")
-    if stop is not None:
-        from repro.analysis.adaptive import run_link_ber_batch, run_point_adaptive
-
-        if stop.max_packets is None:
-            stop = stop.replace(max_packets=int(params.get("num_packets", 32)))
-        row = run_point_adaptive(
-            point,
-            run_link_ber_batch,
-            stop,
-            batch_packets=int(
-                params.get("batch_packets", params.get("batch_size", 32))
-            ),
-        )
-        # The spec's params are already in every sweep row; return only the
-        # measured quantities, in the fixed-mode vocabulary plus the
-        # adaptive extras.
-        return {
-            "seed": point.seed,
-            "num_bits": row["trials"],
-            "bit_errors": row["errors"],
-            "ber": row["ber"],
-            "ber_low": row["ber_low"],
-            "ber_high": row["ber_high"],
-            "packet_error_rate": (
-                row["packet_errors"] / row["packets"] if row["packets"] else 0.0
-            ),
-            "packets": row["packets"],
-            "batches": row["batches"],
-            "stop_reason": row["stop_reason"],
-        }
 
     from repro.analysis.sweep import link_simulator_for_params
 
@@ -414,8 +376,8 @@ class Experiment:
     The unified front door over the sweep and adaptive subsystems:
     fixed-depth and adaptive measurement, serial and process execution,
     and store-backed resume are all selected by arguments rather than by
-    choosing among ``SweepExecutor.run`` / ``run_point_adaptive`` /
-    ``AdaptiveScheduler`` call styles.
+    choosing between ``SweepExecutor.run`` and ``AdaptiveScheduler`` call
+    styles.
 
     Parameters
     ----------
@@ -453,7 +415,7 @@ class Experiment:
     batch_packets:
         Adaptive batch quantum (the chunk-invariance unit).  Defaults to
         the sweep constants' ``batch_packets``, then ``batch_size``, then
-        32 — mirroring the legacy params-dict behaviour.
+        32.
     budget:
         Optional global packet budget for the adaptive scheduler.  Cache
         hits debit the budget exactly like simulated batches, so a warm

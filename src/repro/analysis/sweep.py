@@ -1,4 +1,4 @@
-"""Parameter sweeps: declarative grids, serial/process executors, legacy helpers.
+"""Parameter sweeps: declarative grids and serial/process executors.
 
 The benchmark harness repeats the same experiment across a grid of operating
 points (the eight PHY rates, a range of SNRs, a set of block lengths).  This
@@ -8,11 +8,8 @@ module turns that pattern into a small subsystem:
   master seed) and derives one independent random seed per point.
 * :class:`SweepExecutor` runs a picklable point-runner over the grid with a
   ``serial`` or ``process`` backend and aggregates rows in grid order.
-* :func:`sweep` / :func:`cross_sweep` are the legacy one-liners, kept as
-  deprecated shims over the :class:`~repro.analysis.scenario.Experiment`
-  front door.
 
-The preferred top-level entry point is one layer up: describe the link as
+The top-level entry point is one layer up: describe the link as
 a :class:`~repro.analysis.scenario.Scenario`, the grid as a
 :class:`SweepSpec`, and run both through an
 :class:`~repro.analysis.scenario.Experiment` — which also unlocks the
@@ -71,7 +68,6 @@ import json
 import math
 import os
 import traceback
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -182,8 +178,7 @@ class SweepSpec:
     ----------
     axes:
         Mapping of axis name to iterable of values.  The grid is the
-        row-major cross product (first axis outermost), matching the
-        nesting order of the legacy loop helpers.
+        row-major cross product (first axis outermost).
     constants:
         Optional parameters shared by every point (workload knobs like
         ``packet_bits``).  They appear in every point's ``params`` but do
@@ -466,7 +461,7 @@ def executor_from_env(default_backend="serial"):
 
 
 # ---------------------------------------------------------------------- #
-# Built-in point runners and row emission
+# Link simulators for point params, and row emission
 # ---------------------------------------------------------------------- #
 class _PointFading:
     """Picklable per-packet flat-fading gain for one operating point.
@@ -532,28 +527,11 @@ def _resolve_llr_format(llr_format):
     return llr_format
 
 
-def _deprecated(name, replacement, stacklevel=2):
-    """Emit a shim's DeprecationWarning, attributed to the shim's caller.
-
-    ``replacement`` must name the supported entry point (the
-    :class:`repro.analysis.scenario.Experiment` front door) so the
-    warning is actionable on its own.  ``stacklevel`` counts frames from
-    the *shim*: the default ``2`` points the warning at the code that
-    called the deprecated entry point — the line the user must edit —
-    rather than at this module; one extra frame is added for this helper
-    itself.
-    """
-    warnings.warn(
-        "%s is deprecated; %s" % (name, replacement),
-        DeprecationWarning,
-        stacklevel=stacklevel + 1,
-    )
-
-
 def link_simulator_for_params(params, seed, point_seed=None):
     """Build the :class:`~repro.analysis.link.LinkSimulator` a point describes.
 
-    Shared by the fixed-depth point-runner below and the adaptive
+    Shared by the fixed-depth point-runner
+    (:func:`repro.analysis.scenario.run_scenario_point`) and the adaptive
     chunk-runner (:func:`repro.analysis.adaptive.run_link_ber_batch`):
     ``seed`` seeds the simulator's payload/noise streams (the point seed
     for a fixed run, the batch seed for an adaptive one), while
@@ -576,29 +554,6 @@ def link_simulator_for_params(params, seed, point_seed=None):
         ),
         dtype=params.get("dtype"),
     )
-
-
-def run_link_ber_point(point):
-    """Deprecated params-dict point-runner; use the Experiment front door.
-
-    A thin shim over :func:`repro.analysis.scenario.run_scenario_point`,
-    which validates the link description as a
-    :class:`~repro.analysis.scenario.Scenario` built from the point's
-    params and produces bit-for-bit the rows this function always did
-    (fixed depth with ``stop=None``, adaptive with ``stop=StopRule(...)``
-    in the constants).  New code should describe the link as a
-    ``Scenario`` and run it through an
-    :class:`~repro.analysis.scenario.Experiment`.
-    """
-    _deprecated(
-        "run_link_ber_point",
-        "describe the link as a repro.analysis.scenario.Scenario and run "
-        "it through Experiment (run_scenario_point is the picklable "
-        "point-runner behind it)",
-    )
-    from repro.analysis.scenario import run_scenario_point
-
-    return run_scenario_point(point)
 
 
 def _json_default(value):
@@ -639,66 +594,3 @@ def rows_to_json(rows):
                     ) from None
             raise
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------- #
-# Legacy helpers
-# ---------------------------------------------------------------------- #
-class _ExperimentAdapter:
-    """Adapt a legacy ``experiment(*values)`` callable to a point-runner."""
-
-    def __init__(self, experiment, names):
-        self.experiment = experiment
-        self.names = tuple(names)
-
-    def __call__(self, point):
-        return self.experiment(*(point.params[name] for name in self.names))
-
-
-def sweep(values, experiment, label="value"):
-    """Deprecated: run ``experiment(value)`` for every value, serially.
-
-    A shim over the :class:`~repro.analysis.scenario.Experiment` front
-    door: ``sweep(values, fn, label)`` builds ``SweepSpec({label:
-    values})`` and runs the adapted callable through an ``Experiment``
-    pinned to the serial backend (legacy experiment callables are often
-    closures, which a process pool could not pickle).  Rows are identical
-    to what this helper always returned.
-    """
-    _deprecated(
-        "sweep()",
-        "build a SweepSpec and run it through "
-        "repro.analysis.scenario.Experiment",
-    )
-    values = list(values)
-    if not values:
-        return []
-    from repro.analysis.scenario import Experiment
-
-    spec = SweepSpec({label: values})
-    return Experiment(
-        sweep=spec, runner=_ExperimentAdapter(experiment, (label,))
-    ).run(SweepExecutor("serial"))
-
-
-def cross_sweep(first_values, second_values, experiment, labels=("first", "second")):
-    """Deprecated: run ``experiment(a, b)`` for every pair, serially.
-
-    The two-axis analogue of :func:`sweep`, shimmed over the same
-    :class:`~repro.analysis.scenario.Experiment` path.
-    """
-    _deprecated(
-        "cross_sweep()",
-        "build a two-axis SweepSpec and run it through "
-        "repro.analysis.scenario.Experiment",
-    )
-    first_values = list(first_values)
-    second_values = list(second_values)
-    if not first_values or not second_values:
-        return []
-    from repro.analysis.scenario import Experiment
-
-    spec = SweepSpec({labels[0]: first_values, labels[1]: second_values})
-    return Experiment(
-        sweep=spec, runner=_ExperimentAdapter(experiment, tuple(labels))
-    ).run(SweepExecutor("serial"))

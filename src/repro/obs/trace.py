@@ -9,7 +9,7 @@ as JSON lines to a shared sink directory, with the tree connected
 across processes by a ``trace_id:span_id`` context string that rides
 
 * the ``X-Repro-Trace`` HTTP header (client -> service),
-* process-worker task tuples (:func:`repro.service.transport.pack_task`),
+* process-worker task tuples (:mod:`repro.service.fleet`),
 * remote-agent ndjson ``task`` events (:mod:`repro.service.worker`).
 
 Design constraints, in order:

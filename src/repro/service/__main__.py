@@ -135,10 +135,10 @@ def main(argv=None):
         # Attached remote workers must hear their ``bye`` before the
         # process exits, or they cannot tell a graceful stop from a
         # crash and burn their re-attach retries against a dead port.
-        # Each attach handler leaves ``server.attach_channels`` only
+        # Each attach handler leaves ``server.attach_streams`` only
         # after its bye is written and flushed.
         deadline = time.time() + 5.0
-        while server.attach_channels and time.time() < deadline:
+        while server.attach_streams and time.time() < deadline:
             time.sleep(0.05)
         server.server_close()
         print("repro characterisation service stopped", flush=True)

@@ -581,7 +581,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             handle = self.service.fleet.register_remote(name)
         except FleetError as exc:
             return self._send_json(503, {"error": str(exc)})
-        self.server.attach_channels.add(threading.current_thread())
+        self.server.attach_streams.add(threading.current_thread())
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.end_headers()
@@ -627,7 +627,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             pass  # the agent hung up; detach below requeues its item
         finally:
             handle.detach(requeue=True)
-            self.server.attach_channels.discard(threading.current_thread())
+            self.server.attach_streams.discard(threading.current_thread())
         return None
 
     def _worker_result(self, name):
@@ -685,7 +685,7 @@ def serve(service, host="127.0.0.1", port=0, heartbeat_s=10.0,
     # Live attach-stream handler threads.  A clean daemon exit waits for
     # this to empty: each handler leaves only after writing its ``bye``,
     # which remote agents need to tell a graceful stop from a crash.
-    server.attach_channels = set()
+    server.attach_streams = set()
     return server
 
 

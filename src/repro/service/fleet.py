@@ -21,7 +21,7 @@ interleave in a single priority queue.
     worker holds: when a worker dies mid-batch (OOM kill, segfault, an
     ``os._exit`` deep in native code), its item is requeued — up to
     ``max_retries`` times — and a replacement worker is started.  Workers
-    post heartbeats on a side channel; :meth:`heartbeats` reports each
+    post heartbeats over their own pipe; :meth:`heartbeats` reports each
     worker's last-seen age.
 
 Remote workers
@@ -61,8 +61,6 @@ import time
 import traceback
 
 from repro.obs import trace as obs_trace
-from repro.service.transport import (DEFAULT_RING_BYTES, attach_channel,
-                                     create_channel, pack_task, unpack_task)
 
 __all__ = ["FleetError", "RemoteWorkerHandle", "WorkerFleet"]
 
@@ -97,39 +95,36 @@ def _traced_capture(runner, batch, trace, worker):
         return _capture(runner, batch)
 
 
-def _process_worker_main(worker_id, conn, heartbeat_s, shm_name=None,
-                         ring_bytes=DEFAULT_RING_BYTES, trace_dir=None):
+def _process_worker_main(worker_id, conn, heartbeat_s, trace_dir=None):
     """Long-lived process worker: heartbeat thread + one-item task loop.
 
-    All messages travel over this worker's own duplex channel (a pipe,
-    plus — when ``shm_name`` names the parent's segment — a shared-memory
-    ring pair carrying the payload buffers; see
-    :mod:`repro.service.transport`).  That per-worker choice is
-    deliberate: a shared ``multiprocessing.Queue`` guards its write end
-    with a semaphore *shared by every worker*, so a worker dying
-    mid-``put`` (exactly what the retry machinery exists for) would
-    leave the semaphore locked and poison the whole fleet.  A per-worker
-    channel has a single writing process — a dying worker can only break
-    its own channel, which the parent reads as EOF.
+    All messages travel over this worker's own duplex pipe.  That
+    per-worker choice is deliberate: a shared ``multiprocessing.Queue``
+    guards its write end with a semaphore *shared by every worker*, so a
+    worker dying mid-``put`` (exactly what the retry machinery exists
+    for) would leave the semaphore locked and poison the whole fleet.  A
+    per-worker pipe has a single writing process — a dying worker can
+    only break its own pipe, which the parent reads as EOF.
+
+    A task is ``(seq, runner, batch, trace)``: ``trace`` is a
+    :mod:`repro.obs.trace` context string, or ``None`` when untraced,
+    and never influences the work itself.
     """
     if trace_dir:
         obs_trace.configure(trace_dir, proc=worker_id)
-    channel = attach_channel(conn, shm_name, ring_bytes)
     send_lock = threading.Lock()  # main loop and heartbeat thread share it
     stop_beat = threading.Event()
 
     def send(message):
         with send_lock:
-            channel.send(message)
+            conn.send(message)
 
     def beat():
         while not stop_beat.wait(heartbeat_s):
             try:
                 send(("heartbeat", worker_id, time.time()))
-            except (OSError, ValueError):
-                # ValueError: the main loop closed the channel (released
-                # its ring views) between our stop check and this send.
-                return
+            except OSError:
+                return  # the parent closed its end of the pipe
 
     beater = threading.Thread(target=beat, daemon=True)
     beater.start()
@@ -137,17 +132,16 @@ def _process_worker_main(worker_id, conn, heartbeat_s, shm_name=None,
         send(("heartbeat", worker_id, time.time()))
         while True:
             try:
-                task = channel.recv()
+                task = conn.recv()
             except (EOFError, OSError):
                 break
             if task is None:
                 break
-            seq, runner, batch, trace = unpack_task(task)
+            seq, runner, batch, trace = task
             result, error = _traced_capture(runner, batch, trace, worker_id)
             send(("result", worker_id, seq, result, error))
     finally:
         stop_beat.set()
-        channel.close()
 
 
 class _Item:
@@ -344,11 +338,6 @@ class WorkerFleet:
     max_retries:
         How many times a work item is re-dispatched after the worker
         running it died, before it is failed with an error result.
-    ring_bytes:
-        Per-direction shared-memory ring capacity for the process
-        backend's payload transport (see
-        :mod:`repro.service.transport`).  ``0`` forces the plain-pipe
-        channel.
     compute_slots:
         Thread backend only: how many workers may *execute* a runner at
         the same time (default ``min(workers, os.cpu_count())``).  The
@@ -368,8 +357,7 @@ class WorkerFleet:
     """
 
     def __init__(self, workers=None, backend="thread", mp_context=None,
-                 heartbeat_s=1.0, max_retries=2,
-                 ring_bytes=DEFAULT_RING_BYTES, compute_slots=None):
+                 heartbeat_s=1.0, max_retries=2, compute_slots=None):
         if backend not in ("thread", "process"):
             raise ValueError("unknown backend %r (use 'thread' or 'process')"
                              % (backend,))
@@ -382,7 +370,6 @@ class WorkerFleet:
         self.mp_context = mp_context
         self.heartbeat_s = float(heartbeat_s)
         self.max_retries = int(max_retries)
-        self.ring_bytes = int(ring_bytes)
         self.compute_slots = min(
             self.workers,
             compute_slots or max(os.cpu_count() or 1, 1),
@@ -407,7 +394,6 @@ class WorkerFleet:
         # process backend
         self._context = None
         self._procs = {}           # worker name -> (Process, parent Connection)
-        self._channels = {}        # worker name -> transport channel
         self._assigned = {}        # worker name -> seq it currently holds
         self._idle = set()
         self._pump_threads = []
@@ -463,24 +449,21 @@ class WorkerFleet:
                 thread.join(timeout=10.0)
             self._threads = []
         else:
-            for name, channel in list(self._channels.items()):
+            for _, conn in list(self._procs.values()):
                 try:
-                    channel.send(None)
-                except (OSError, ValueError):
+                    conn.send(None)
+                except OSError:
                     pass
             for thread in self._pump_threads:
                 thread.join(timeout=10.0)
             self._pump_threads = []
-            for name, (proc, conn) in list(self._procs.items()):
+            for proc, conn in list(self._procs.values()):
                 proc.join(timeout=5.0)
                 if proc.is_alive():
                     proc.terminate()
                     proc.join(timeout=5.0)
                 conn.close()
-            for name, channel in list(self._channels.items()):
-                channel.close()
             self._procs = {}
-            self._channels = {}
         for handle in list(self._remote.values()):
             # Their attach streams notice _stopping and exit on their own;
             # detaching here makes the outstanding items' fate immediate
@@ -751,17 +734,14 @@ class WorkerFleet:
     def _spawn_process_worker(self):
         name = "fleet-proc-%d" % next(self._worker_ids)
         parent_conn, child_conn = self._context.Pipe(duplex=True)
-        channel, shm_name = create_channel(parent_conn, self.ring_bytes)
         proc = self._context.Process(
             target=_process_worker_main,
-            args=(name, child_conn, self.heartbeat_s, shm_name,
-                  self.ring_bytes, obs_trace.sink_dir()),
+            args=(name, child_conn, self.heartbeat_s, obs_trace.sink_dir()),
             daemon=True,
         )
         proc.start()
         child_conn.close()  # the parent keeps only its own end
         self._procs[name] = (proc, parent_conn)
-        self._channels[name] = channel
         self._heartbeat[name] = time.time()
         self._idle.add(name)
         return name
@@ -777,14 +757,14 @@ class WorkerFleet:
                     if item is None:
                         break
                     name = self._idle.pop()
-                    channel = self._channels[name]
+                    _, conn = self._procs[name]
                     self._inflight[item.seq] = item
                     self._assigned[name] = item.seq
                     item.attempts += 1
                     try:
-                        channel.send(pack_task(item.seq, item.runner,
-                                               item.batch, item.trace))
-                    except (OSError, ValueError):
+                        conn.send((item.seq, item.runner, item.batch,
+                                   item.trace))
+                    except OSError:
                         self._reap_worker(name)
                     except Exception as exc:
                         # The item itself cannot be shipped (unpicklable
@@ -812,9 +792,6 @@ class WorkerFleet:
         """
         proc, conn = self._procs.pop(name)
         conn.close()
-        channel = self._channels.pop(name, None)
-        if channel is not None:
-            channel.close()  # the parent owns the segment: unlinks it too
         self._heartbeat.pop(name, None)
         self._idle.discard(name)
         seq = self._assigned.pop(name, None)
@@ -843,7 +820,7 @@ class WorkerFleet:
             with self._lock:
                 if self._stopping:
                     return
-                conns = {conn: (name, self._channels[name])
+                conns = {conn: name
                          for name, (_, conn) in self._procs.items()}
             try:
                 ready = connection_wait(list(conns), timeout=0.2)
@@ -852,15 +829,14 @@ class WorkerFleet:
                 # between our snapshot and the wait; rebuild and retry.
                 continue
             for conn in ready:
-                name, channel = conns[conn]
+                name = conns[conn]
                 try:
-                    message = channel.recv()
-                except (EOFError, OSError, ValueError):
-                    # EOF/OSError: the worker died (possibly mid-message).
-                    # ValueError: the feeder reaped it between our snapshot
-                    # and this recv, releasing the channel's ring views.
-                    # Reap now rather than spinning on the readable-at-EOF
-                    # connection until the feeder notices.
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    # The worker died (possibly mid-message), or the feeder
+                    # reaped it and closed the connection after our
+                    # snapshot.  Reap now rather than spinning on the
+                    # readable-at-EOF connection until the feeder notices.
                     with self._lock:
                         if name in self._procs:
                             self._procs[name][0].join(timeout=1.0)

@@ -1,220 +1,16 @@
-"""Zero-copy worker transport: shared-memory rings with pickled headers.
+"""The remote-worker wire format: pickled work items as base64 text.
 
-The process-backend fleet originally shipped every task and result through
-``multiprocessing`` pipes, which means one full pickle *copy* of each
-payload on the way in and another on the way out.  Batch-heavy payloads —
-fused groups, runner results carrying numpy arrays — are dominated by
-large contiguous buffers, exactly the part ``pickle`` protocol 5 can hand
-over *out of band*.  This module routes those buffers through a
-per-worker :class:`multiprocessing.shared_memory.SharedMemory` segment
-instead, so the pipe carries only the pickled object skeleton (the
-"header") plus ``(offset, size)`` descriptors into the ring:
-
-* :class:`ShmRing` — a single-writer bump allocator over one region of
-  the segment.  Offsets travel in the descriptors; the writer wraps to
-  the start when the tail cannot fit a buffer.
-* :class:`ShmChannel` — a duplex channel over one pipe plus one segment
-  split into two rings (one per direction).  ``send`` pickles with
-  ``buffer_callback`` and writes each out-of-band buffer into the tx
-  ring; ``recv`` copies the described bytes out *before* unpickling, so
-  the returned objects never alias the ring.
-* :class:`PipeChannel` — the plain-pipe fallback (same interface) used
-  when shared memory is unavailable.
-
-Safety model
-------------
-The ring has no read cursor: it relies on the fleet's depth-1 dispatch
-protocol, under which each direction of a worker's channel carries **at
-most one in-flight payload** (the parent sends a worker its next task
-only after consuming the previous result, and heartbeats carry no
-buffers).  A payload is therefore always consumed before the writer can
-wrap over it.  Buffers larger than a ring — and the rare non-contiguous
-ones — fall back to inline bytes in the descriptor (or to a plain
-in-band pickle), so oversized payloads degrade to the old copying path
-instead of failing.
+Local process workers need no codec of their own: each owns a plain
+duplex ``multiprocessing`` pipe and the fleet sends its task tuples and
+results over it directly (see :mod:`repro.service.fleet`).  Remote
+agents speak JSON lines over HTTP instead, so their work items and
+results travel through :func:`encode_payload` / :func:`decode_payload`.
 """
 
 import base64
 import pickle
 
-try:
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - ancient/embedded pythons
-    _shared_memory = None
-
-__all__ = ["DEFAULT_RING_BYTES", "ShmRing", "ShmChannel", "PipeChannel",
-           "create_channel", "attach_channel", "encode_payload",
-           "decode_payload"]
-
-#: Per-direction ring capacity.  4 MiB holds the largest fused-group
-#: payload the default workloads produce with room to spare; bigger
-#: payloads transparently fall back to inline pipe bytes.
-DEFAULT_RING_BYTES = 1 << 22
-
-
-class ShmRing:
-    """Single-writer bump allocator over one shared-memory region.
-
-    The writer owns ``_head`` locally (it never travels); readers are
-    told where to look by the ``(offset, size)`` descriptors the channel
-    sends alongside each header.  See the module docstring for why no
-    read cursor is needed.
-    """
-
-    __slots__ = ("_buf", "size", "_head")
-
-    def __init__(self, buf):
-        self._buf = buf
-        self.size = len(buf)
-        self._head = 0
-
-    def write(self, raw):
-        """Copy ``raw`` (a bytes-like memoryview) in; its offset, or
-        ``None`` when the buffer can never fit."""
-        nbytes = raw.nbytes
-        if nbytes > self.size:
-            return None
-        if self._head + nbytes > self.size:
-            self._head = 0
-        offset = self._head
-        self._buf[offset:offset + nbytes] = raw
-        self._head = offset + nbytes
-        return offset
-
-    def read(self, offset, nbytes):
-        """An owned bytes copy of the described region (never a view)."""
-        if offset < 0 or offset + nbytes > self.size:
-            raise ValueError(
-                "descriptor (%d, %d) exceeds the %d-byte ring"
-                % (offset, nbytes, self.size))
-        return bytes(self._buf[offset:offset + nbytes])
-
-
-class ShmChannel:
-    """Duplex pickle channel: pipe for headers, shared memory for buffers.
-
-    Build the parent side with :meth:`create` and the child side with
-    :meth:`attach` — the two halves of the segment swap roles so each
-    side writes its own tx ring.  Wire format per message: ``(header,
-    descriptors)`` where ``header`` is the protocol-5 pickle skeleton and
-    each descriptor is ``(offset, nbytes)`` into the peer's rx ring or
-    ``("inline", bytes)`` for buffers that did not fit.  ``(header,
-    None)`` marks a plain in-band pickle (the non-contiguous-buffer
-    fallback).
-    """
-
-    def __init__(self, conn, shm, tx_region, rx_region, owner):
-        self.conn = conn
-        self._shm = shm
-        self.name = shm.name
-        self._owner = owner
-        self._tx = ShmRing(shm.buf[tx_region[0]:tx_region[1]])
-        self._rx = ShmRing(shm.buf[rx_region[0]:rx_region[1]])
-
-    @classmethod
-    def create(cls, conn, size=DEFAULT_RING_BYTES):
-        """Parent side: allocate the segment (tx first half, rx second)."""
-        if _shared_memory is None:
-            raise OSError("multiprocessing.shared_memory is unavailable")
-        shm = _shared_memory.SharedMemory(create=True, size=2 * size)
-        return cls(conn, shm, (0, size), (size, 2 * size), owner=True)
-
-    @classmethod
-    def attach(cls, conn, name, size=DEFAULT_RING_BYTES):
-        """Child side: attach by name with the ring roles swapped."""
-        if _shared_memory is None:
-            raise OSError("multiprocessing.shared_memory is unavailable")
-        # The attaching side must not register the segment with a resource
-        # tracker: only the creating parent unlinks it, so an attach-side
-        # registration either double-books a shared tracker (stderr noise
-        # when the parent's unlink unregisters the now-missing entry) or,
-        # with a per-process tracker, unlinks a segment the parent still
-        # uses when this worker exits.  ``SharedMemory`` grows a ``track``
-        # flag only in 3.13, so suppress the registration call directly;
-        # attach runs once in the worker's startup, before other threads.
-        from multiprocessing import resource_tracker
-
-        registered = resource_tracker.register
-        resource_tracker.register = lambda *_args, **_kwargs: None
-        try:
-            shm = _shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = registered
-        return cls(conn, shm, (size, 2 * size), (0, size), owner=False)
-
-    def send(self, obj):
-        """Pickle ``obj``; large buffers ride the tx ring, not the pipe."""
-        buffers = []
-        try:
-            header = pickle.dumps(obj, protocol=5,
-                                  buffer_callback=buffers.append)
-            descriptors = []
-            for buffer in buffers:
-                raw = buffer.raw()
-                offset = self._tx.write(raw)
-                if offset is None:
-                    descriptors.append(("inline", raw.tobytes()))
-                else:
-                    descriptors.append((offset, raw.nbytes))
-        except BufferError:
-            # A non-contiguous out-of-band buffer: fall back to one plain
-            # in-band pickle rather than reasoning about strides.
-            self.conn.send((pickle.dumps(obj, protocol=5), None))
-            return
-        self.conn.send((header, descriptors))
-
-    def recv(self):
-        header, descriptors = self.conn.recv()
-        if descriptors is None:
-            return pickle.loads(header)
-        buffers = []
-        for descriptor in descriptors:
-            if descriptor[0] == "inline":
-                buffers.append(descriptor[1])
-            else:
-                offset, nbytes = descriptor
-                buffers.append(self._rx.read(offset, nbytes))
-        return pickle.loads(header, buffers=buffers)
-
-    def close(self):
-        """Release the mapping; the owning (parent) side also unlinks."""
-        for attr in ("_tx", "_rx"):
-            ring = getattr(self, attr, None)
-            if ring is not None:
-                ring._buf.release()
-        try:
-            self._shm.close()
-        except (OSError, BufferError):
-            pass
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except OSError:
-                pass
-
-    def __repr__(self):
-        return "ShmChannel(%s, owner=%r)" % (self.name, self._owner)
-
-
-class PipeChannel:
-    """Plain-pipe channel with the :class:`ShmChannel` interface."""
-
-    name = None
-
-    def __init__(self, conn):
-        self.conn = conn
-
-    def send(self, obj):
-        self.conn.send(obj)
-
-    def recv(self):
-        return self.conn.recv()
-
-    def close(self):
-        pass
-
-    def __repr__(self):
-        return "PipeChannel(%r)" % (self.conn,)
+__all__ = ["encode_payload", "decode_payload"]
 
 
 def encode_payload(obj):
@@ -237,52 +33,3 @@ def encode_payload(obj):
 def decode_payload(text):
     """Inverse of :func:`encode_payload`."""
     return pickle.loads(base64.b64decode(text.encode("ascii")))
-
-
-def pack_task(seq, runner, batch, trace=None):
-    """The process-fleet task tuple: ``(seq, runner, batch[, trace])``.
-
-    ``trace`` is an optional :mod:`repro.obs.trace` context string
-    (``"trace_id:span_id"``); it rides the tuple only when tracing is
-    on, so untraced deployments keep the historical 3-tuple shape.
-    Telemetry context never influences the work itself.
-    """
-    if trace is None:
-        return (seq, runner, batch)
-    return (seq, runner, batch, trace)
-
-
-def unpack_task(task):
-    """Inverse of :func:`pack_task`; tolerates both tuple shapes.
-
-    Returns ``(seq, runner, batch, trace)`` with ``trace`` ``None``
-    for 3-tuples, so a worker built at either end of the upgrade
-    understands the other side's frames.
-    """
-    seq, runner, batch = task[:3]
-    trace = task[3] if len(task) > 3 else None
-    return seq, runner, batch, trace
-
-
-def create_channel(conn, size=DEFAULT_RING_BYTES):
-    """The parent side of the best available channel over ``conn``.
-
-    Returns ``(channel, shm_name)``; ``shm_name`` is ``None`` when shared
-    memory is unavailable (the worker then attaches a plain
-    :class:`PipeChannel`), so the degradation is negotiated through the
-    spawn arguments rather than at runtime.
-    """
-    if size and _shared_memory is not None:
-        try:
-            channel = ShmChannel.create(conn, size)
-            return channel, channel.name
-        except OSError:
-            pass
-    return PipeChannel(conn), None
-
-
-def attach_channel(conn, shm_name, size=DEFAULT_RING_BYTES):
-    """The child side matching :func:`create_channel`'s result."""
-    if shm_name is None:
-        return PipeChannel(conn)
-    return ShmChannel.attach(conn, shm_name, size)

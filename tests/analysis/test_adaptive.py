@@ -28,15 +28,10 @@ from repro.analysis.adaptive import (
     StopRule,
     batch_seed_sequence,
     run_link_ber_batch,
-    run_point_adaptive,
 )
 from repro.analysis.ber_stats import BerMeasurement
-from repro.analysis.sweep import (
-    SweepError,
-    SweepExecutor,
-    SweepSpec,
-    run_link_ber_point,
-)
+from repro.analysis.scenario import Experiment, run_scenario_point
+from repro.analysis.sweep import SweepError, SweepExecutor, SweepSpec
 
 #: A miniature link workload: small packets keep every test here fast.
 SMALL_CONSTANTS = {"decoder": "bcjr", "packet_bits": 600, "batch_size": 8}
@@ -166,10 +161,17 @@ class TestBatchSeeding:
 
 
 class TestRunPointAdaptive:
+    """One point measured adaptively: batches run until the rule fires."""
+
+    def run_one(self, runner, rule):
+        (row,) = AdaptiveScheduler(stop=rule, batch_packets=8).run(
+            small_spec(snrs=(5.0,)), runner)
+        return row
+
     def test_stops_when_converged_and_accumulates(self):
         runner = _FixedSequenceRunner([0, 0, 400, 400])
         rule = StopRule(rel_half_width=0.2, min_errors=100, max_packets=400)
-        row = run_point_adaptive(one_point(), runner, rule, batch_packets=8)
+        row = self.run_one(runner, rule)
         assert row["stop_reason"] == "converged"
         assert row["batches"] == 3
         assert row["packets"] == 24
@@ -180,31 +182,14 @@ class TestRunPointAdaptive:
     def test_cap_hits_when_never_converging(self):
         runner = _FixedSequenceRunner([0])
         rule = StopRule(rel_half_width=0.01, min_errors=1, max_packets=32)
-        row = run_point_adaptive(one_point(), runner, rule, batch_packets=8)
+        row = self.run_one(runner, rule)
         assert row["stop_reason"] == "max_packets"
         assert row["packets"] == 32
 
-    def test_unbounded_rule_rejected(self):
-        with pytest.raises(ValueError):
-            run_point_adaptive(one_point(), _FixedSequenceRunner([0]),
-                               StopRule(rel_half_width=0.2))
-        with pytest.raises(ValueError):
-            run_point_adaptive(one_point(), _FixedSequenceRunner([0]), None)
-
-    def test_max_batches_escape_hatch(self):
-        row = run_point_adaptive(one_point(), _FixedSequenceRunner([0]),
-                                 StopRule(rel_half_width=0.01, min_errors=1),
-                                 batch_packets=8, max_batches=2)
-        assert row["stop_reason"] == "max_batches"
-        assert row["batches"] == 2
-
     def test_missing_count_keys_are_reported(self):
-        def bad_runner(batch):
-            return {"bit_errors": 1}
-
+        state = AdaptivePointState(one_point())
         with pytest.raises(ValueError, match="trials|errors"):
-            run_point_adaptive(one_point(), bad_runner,
-                               StopRule(max_packets=8), batch_packets=8)
+            state.consume(state.next_batch(8), {"bit_errors": 1})
 
 
 class TestExtrasMerging:
@@ -391,51 +376,47 @@ class TestAdaptiveScheduler:
 
 
 class TestAdaptiveLinkPointRunner:
-    """run_link_ber_point's stop= mode and the satellite passthroughs."""
+    """The link runners: adaptive depth through Experiment(stop=...),
+    fixed depth through run_scenario_point, and the satellite
+    passthroughs."""
 
     def constants(self, **extra):
         constants = dict(SMALL_CONSTANTS, num_packets=48)
         constants.update(extra)
         return constants
 
-    def test_stop_none_matches_the_legacy_fixed_path(self):
-        fixed = SweepSpec({"rate_mbps": [24], "snr_db": [5.0]},
-                          constants=self.constants(), seed=23)
-        explicit = SweepSpec({"rate_mbps": [24], "snr_db": [5.0]},
-                             constants=self.constants(stop=None), seed=23)
-        (row_a,) = SweepExecutor("serial").run(fixed, run_link_ber_point)
-        (row_b,) = SweepExecutor("serial").run(explicit, run_link_ber_point)
-        row_b.pop("stop")
-        assert row_a == row_b
+    def adaptive(self, spec, rule, batch_packets=8, executor=None):
+        return Experiment(sweep=spec, stop=rule,
+                          batch_packets=batch_packets).run(
+            executor or SweepExecutor("serial"))
+
+    def test_stop_param_is_refused_by_the_fixed_point_runner(self):
+        # Adaptive depth is an Experiment argument; a stop param must not
+        # silently run at fixed depth.
+        spec = SweepSpec({"rate_mbps": [24], "snr_db": [5.0]},
+                         constants=self.constants(stop=StopRule(max_packets=8)),
+                         seed=23)
+        with pytest.raises(SweepError, match=r"Experiment\(stop=\.\.\.\)"):
+            SweepExecutor("serial").run(spec, run_scenario_point)
 
     def test_adaptive_mode_stops_early_and_reports_spend(self):
-        spec = SweepSpec(
-            {"rate_mbps": [24], "snr_db": [4.0]},
-            constants=self.constants(
-                stop=StopRule(rel_half_width=0.25, min_errors=40),
-                batch_packets=8,
-            ),
-            seed=23,
-        )
-        (row,) = SweepExecutor("serial").run(spec, run_link_ber_point)
+        spec = SweepSpec({"rate_mbps": [24], "snr_db": [4.0]},
+                         constants=SMALL_CONSTANTS, seed=23)
+        (row,) = self.adaptive(
+            spec, StopRule(rel_half_width=0.25, min_errors=40, max_packets=48))
         assert row["stop_reason"] == "converged"
-        assert row["packets"] < 48  # num_packets became the cap, not the depth
-        assert row["num_bits"] == row["packets"] * 600
+        assert row["packets"] < 48  # the cap, not the depth
+        assert row["trials"] == row["packets"] * 600
         assert row["ber_low"] <= row["ber"] <= row["ber_high"]
 
     def test_adaptive_rows_identical_across_backends(self):
-        spec = SweepSpec(
-            {"rate_mbps": [24], "snr_db": [4.0, 8.5]},
-            constants=self.constants(
-                stop=StopRule(rel_half_width=0.25, min_errors=40),
-                batch_packets=8,
-            ),
-            seed=23,
-        )
-        serial = SweepExecutor("serial").run(spec, run_link_ber_point)
-        process = SweepExecutor("process", max_workers=2, chunk_size=1).run(
-            spec, run_link_ber_point
-        )
+        spec = SweepSpec({"rate_mbps": [24], "snr_db": [4.0, 8.5]},
+                         constants=SMALL_CONSTANTS, seed=23)
+        rule = StopRule(rel_half_width=0.25, min_errors=40, max_packets=48)
+        serial = self.adaptive(spec, rule)
+        process = self.adaptive(
+            spec, rule,
+            executor=SweepExecutor("process", max_workers=2, chunk_size=1))
         assert process == serial
 
     def test_fading_passthrough_changes_the_channel(self):
@@ -449,35 +430,35 @@ class TestAdaptiveLinkPointRunner:
             ),
             seed=23,
         )
-        (clean,) = SweepExecutor("serial").run(awgn, run_link_ber_point)
-        (dirty,) = SweepExecutor("serial").run(faded, run_link_ber_point)
+        (clean,) = SweepExecutor("serial").run(awgn, run_scenario_point)
+        (dirty,) = SweepExecutor("serial").run(faded, run_scenario_point)
         # 12 dB AWGN is error-free at this size; Rayleigh fades are not.
         assert clean["bit_errors"] == 0
         assert dirty["bit_errors"] > 0
         # Deterministic: same spec, same rows (and picklable through a pool).
         (again,) = SweepExecutor("process", max_workers=1).run(
-            faded, run_link_ber_point
+            faded, run_scenario_point
         )
         assert again == dirty
 
     def test_fading_trace_is_batch_invariant(self):
         # The fading process is seeded per point, sampled at absolute packet
         # indices: an adaptive run's trace is one continuous process.
-        constants = self.constants(
-            num_packets=16,
-            fading={"doppler_hz": 200.0, "packet_interval_s": 0.01},
-            stop=StopRule(rel_half_width=1e-9, min_errors=10**9),  # cap-bound
+        spec = SweepSpec(
+            {"rate_mbps": [24], "snr_db": [8.0]},
+            constants=dict(SMALL_CONSTANTS, fading={"doppler_hz": 200.0,
+                                                    "packet_interval_s": 0.01}),
+            seed=23,
         )
+        # Cap-bound: the statistics never converge before 16 packets.
+        rule = StopRule(rel_half_width=1e-9, min_errors=10**9, max_packets=16)
         for batch_packets in (4, 8, 16):
-            constants["batch_packets"] = batch_packets
-            spec = SweepSpec({"rate_mbps": [24], "snr_db": [8.0]},
-                             constants=dict(constants), seed=23)
-            (row,) = SweepExecutor("serial").run(spec, run_link_ber_point)
+            (row,) = self.adaptive(spec, rule, batch_packets=batch_packets)
             assert row["packets"] == 16
             # Different batch splits draw different noise, but the per-point
             # fading realisation they ride on is shared; the measured BER
             # must stay in the same fade-dominated ballpark.
-            assert row["bit_errors"] > 0
+            assert row["errors"] > 0
 
     def test_llr_format_passthrough_quantises(self):
         float_spec = SweepSpec({"rate_mbps": [24], "snr_db": [6.0]},
@@ -494,9 +475,9 @@ class TestAdaptiveLinkPointRunner:
             ),
             seed=23,
         )
-        (reference,) = SweepExecutor("serial").run(float_spec, run_link_ber_point)
-        (quantised,) = SweepExecutor("serial").run(coarse, run_link_ber_point)
-        (from_dict,) = SweepExecutor("serial").run(named, run_link_ber_point)
+        (reference,) = SweepExecutor("serial").run(float_spec, run_scenario_point)
+        (quantised,) = SweepExecutor("serial").run(coarse, run_scenario_point)
+        (from_dict,) = SweepExecutor("serial").run(named, run_scenario_point)
         # 3-bit quantisation must change the decode (same seed, same noise).
         assert quantised["ber"] != reference["ber"]
         assert from_dict["bit_errors"] == quantised["bit_errors"]
@@ -509,7 +490,7 @@ class TestAdaptiveLinkPointRunner:
                 seed=23,
             )
             with pytest.raises(SweepError, match="llr_format"):
-                SweepExecutor("serial").run(spec, run_link_ber_point)
+                SweepExecutor("serial").run(spec, run_scenario_point)
 
 
 class TestStopRuleSerialisation:

@@ -1,6 +1,6 @@
 """Tests for the declarative Scenario/Experiment front door.
 
-Three contracts are under test:
+Two contracts are under test:
 
 * :class:`Scenario` is validated at construction, round-trips through
   ``to_dict``/``from_dict`` and has a canonical, field-sensitive
@@ -8,9 +8,6 @@ Three contracts are under test:
 * :class:`Experiment` subsumes the fixed-depth executor path and the
   adaptive scheduler path behind one ``run()``, producing exactly the
   rows those layers produce.
-* The legacy entry points (``sweep``, ``cross_sweep`` and the params-dict
-  ``run_link_ber_point``) are deprecated shims that still produce
-  bit-for-bit identical rows to the Experiment path.
 """
 
 import numpy as np
@@ -19,13 +16,7 @@ import pytest
 from repro.analysis.adaptive import AdaptiveScheduler, StopRule, run_link_ber_batch
 from repro.analysis.scenario import Experiment, Scenario, run_scenario_point
 from repro.analysis.store import ResultStore
-from repro.analysis.sweep import (
-    SweepExecutor,
-    SweepSpec,
-    cross_sweep,
-    run_link_ber_point,
-    sweep,
-)
+from repro.analysis.sweep import SweepExecutor, SweepSpec
 
 #: A miniature link workload shared by the equivalence tests.
 SMALL = {"decoder": "bcjr", "packet_bits": 600}
@@ -330,131 +321,6 @@ class TestExperimentRuns:
 
 def _echo_params_runner(point):
     return {"echo_snr": point["snr_db"]}
-
-
-class TestDeprecatedShims:
-    """The legacy entry points warn but still match the Experiment path."""
-
-    def test_sweep_warns_and_matches_experiment(self):
-        values = [1, 2, 3]
-        with pytest.warns(DeprecationWarning, match="sweep"):
-            legacy = sweep(values, _double, label="n")
-        fresh = Experiment(
-            sweep=SweepSpec({"n": values}), runner=_double_point,
-        ).run(SweepExecutor("serial"))
-        assert legacy == fresh
-
-    def test_cross_sweep_warns_and_matches_experiment(self):
-        with pytest.warns(DeprecationWarning, match="cross_sweep"):
-            legacy = cross_sweep([1, 2], [10, 20], _add, labels=("a", "b"))
-        fresh = Experiment(
-            sweep=SweepSpec({"a": [1, 2], "b": [10, 20]}), runner=_add_point,
-        ).run(SweepExecutor("serial"))
-        assert legacy == fresh
-
-    def test_run_link_ber_point_warns_and_matches_fixed_experiment(self):
-        spec = SweepSpec(
-            {"rate_mbps": [24], "snr_db": [5.0, 8.0]},
-            constants=dict(SMALL, num_packets=4, batch_size=4), seed=23,
-        )
-        with pytest.warns(DeprecationWarning, match="run_link_ber_point"):
-            legacy = SweepExecutor("serial").run(spec, run_link_ber_point)
-        fresh = Experiment(
-            scenario=Scenario(**SMALL),
-            sweep=SweepSpec({"rate_mbps": [24], "snr_db": [5.0, 8.0]},
-                            constants={"num_packets": 4, "batch_size": 4},
-                            seed=23),
-        ).run(SweepExecutor("serial"))
-        assert legacy == fresh  # bit for bit, keys included
-
-    def test_run_link_ber_point_adaptive_matches_adaptive_experiment(self):
-        stop = StopRule(rel_half_width=0.3, min_errors=20, max_packets=16)
-        spec = SweepSpec(
-            {"rate_mbps": [24], "snr_db": [5.0, 8.0]},
-            constants=dict(SMALL, batch_packets=4, stop=stop), seed=23,
-        )
-        with pytest.warns(DeprecationWarning, match="run_link_ber_point"):
-            legacy = SweepExecutor("serial").run(spec, run_link_ber_point)
-        fresh = Experiment(
-            scenario=Scenario(**SMALL),
-            sweep=SweepSpec({"rate_mbps": [24], "snr_db": [5.0, 8.0]}, seed=23),
-            stop=stop,
-            batch_packets=4,
-        ).run(SweepExecutor("serial"))
-        # Same physics, two vocabularies: the legacy point-runner reports
-        # fixed-mode names, the Experiment path the scheduler's.
-        for old, new in zip(legacy, fresh):
-            assert old["bit_errors"] == new["errors"]
-            assert old["num_bits"] == new["trials"]
-            assert old["ber"] == new["ber"]
-            assert old["ber_low"] == new["ber_low"]
-            assert old["ber_high"] == new["ber_high"]
-            assert old["packets"] == new["packets"]
-            assert old["batches"] == new["batches"]
-            assert old["stop_reason"] == new["stop_reason"]
-            assert old["packet_error_rate"] == (
-                new["packet_errors"] / new["packets"])
-
-    def test_run_scenario_point_itself_does_not_warn(self):
-        import warnings
-
-        spec = SweepSpec({"rate_mbps": [24], "snr_db": [5.0]},
-                         constants=dict(SMALL, num_packets=4, batch_size=4),
-                         seed=23)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            SweepExecutor("serial").run(spec, run_scenario_point)
-
-
-def _double(n):
-    return {"doubled": 2 * n}
-
-
-def _double_point(point):
-    return _double(point["n"])
-
-
-def _add(a, b):
-    return {"sum": a + b}
-
-
-def _add_point(point):
-    return _add(point["a"], point["b"])
-
-
-class TestDeprecationAttribution:
-    """Shim warnings must point at the caller and name the replacement."""
-
-    def caught(self, invoke):
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings(record=True) as caught:
-            warnings_module.simplefilter("always")
-            invoke()
-        (warning,) = [w for w in caught
-                      if issubclass(w.category, DeprecationWarning)]
-        return warning
-
-    def test_sweep_warning_is_attributed_to_this_file(self):
-        warning = self.caught(lambda: sweep([1], _double, label="n"))
-        assert warning.filename == __file__
-        assert "Experiment" in str(warning.message)
-
-    def test_cross_sweep_warning_is_attributed_to_this_file(self):
-        warning = self.caught(
-            lambda: cross_sweep([1], [2], _add, labels=("a", "b")))
-        assert warning.filename == __file__
-        assert "Experiment" in str(warning.message)
-
-    def test_run_link_ber_point_warning_names_the_replacement(self):
-        spec = SweepSpec(
-            {"rate_mbps": [24], "snr_db": [5.0]},
-            constants=dict(SMALL, num_packets=4, batch_size=4), seed=23,
-        )
-        warning = self.caught(lambda: run_link_ber_point(list(spec)[0]))
-        assert warning.filename == __file__
-        assert "Scenario" in str(warning.message)
-        assert "Experiment" in str(warning.message)
 
 
 class TestBatchGranularHooks:

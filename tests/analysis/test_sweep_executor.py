@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.analysis.scenario import run_scenario_point
 from repro.analysis.sweep import (
     SweepError,
     SweepExecutor,
@@ -21,7 +22,6 @@ from repro.analysis.sweep import (
     executor_from_env,
     point_spawn_key,
     rows_to_json,
-    run_link_ber_point,
 )
 
 #: A miniature Figure-6-style workload: QAM16 1/2 BER across SNRs.  Small
@@ -144,7 +144,7 @@ class TestSeedDerivation:
 class TestExecution:
     def test_serial_rows_are_params_plus_results(self):
         spec = small_link_spec(snrs=(5.0,))
-        (row,) = SweepExecutor("serial").run(spec, run_link_ber_point)
+        (row,) = SweepExecutor("serial").run(spec, run_scenario_point)
         assert row["rate_mbps"] == 24 and row["snr_db"] == 5.0
         assert row["packet_bits"] == 600
         assert row["num_bits"] == 4 * 600
@@ -152,9 +152,9 @@ class TestExecution:
 
     def test_single_worker_process_backend_matches_serial(self):
         spec = small_link_spec(snrs=(5.0, 8.0))
-        serial = SweepExecutor("serial").run(spec, run_link_ber_point)
+        serial = SweepExecutor("serial").run(spec, run_scenario_point)
         process = SweepExecutor("process", max_workers=1).run(
-            spec, run_link_ber_point
+            spec, run_scenario_point
         )
         assert process == serial
 
@@ -162,9 +162,9 @@ class TestExecution:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_multi_worker_rows_identical_to_serial(self, workers):
         spec = small_link_spec()
-        serial = SweepExecutor("serial").run(spec, run_link_ber_point)
+        serial = SweepExecutor("serial").run(spec, run_scenario_point)
         parallel = SweepExecutor("process", max_workers=workers,
-                                 chunk_size=1).run(spec, run_link_ber_point)
+                                 chunk_size=1).run(spec, run_scenario_point)
         assert parallel == serial
 
     def test_session_reuses_one_pool_across_runs(self):
@@ -172,12 +172,12 @@ class TestExecution:
         # identical to pool-per-run execution (the pool is pure transport).
         spec = small_link_spec(snrs=(5.0, 8.0))
         executor = SweepExecutor("process", max_workers=1)
-        fresh = executor.run(spec, run_link_ber_point)
+        fresh = executor.run(spec, run_scenario_point)
         with executor.session():
             assert executor._pool is not None
             pool = executor._pool
-            first = executor.run(spec, run_link_ber_point)
-            second = executor.run(spec, run_link_ber_point)
+            first = executor.run(spec, run_scenario_point)
+            second = executor.run(spec, run_scenario_point)
             assert executor._pool is pool  # still the same pool
             with executor.session():  # re-entrant: nested reuses the outer
                 assert executor._pool is pool
@@ -189,14 +189,14 @@ class TestExecution:
         executor = SweepExecutor("serial")
         with executor.session():
             assert executor._pool is None
-            rows = executor.run(small_link_spec(snrs=(5.0,)), run_link_ber_point)
+            rows = executor.run(small_link_spec(snrs=(5.0,)), run_scenario_point)
         assert len(rows) == 1
 
     def test_rows_to_json_round_trips(self):
         import json
 
         spec = small_link_spec(snrs=(5.0, 8.0))
-        rows = SweepExecutor("serial").run(spec, run_link_ber_point)
+        rows = SweepExecutor("serial").run(spec, run_scenario_point)
         parsed = [json.loads(line) for line in rows_to_json(rows).splitlines()]
         assert parsed == rows
 
@@ -309,12 +309,12 @@ def test_four_worker_fig6_sweep_matches_serial_and_halves_wall_clock():
         seed=23,
     )
     start = time.perf_counter()
-    serial = SweepExecutor("serial").run(spec, run_link_ber_point)
+    serial = SweepExecutor("serial").run(spec, run_scenario_point)
     serial_elapsed = time.perf_counter() - start
 
     executor = SweepExecutor("process", max_workers=4, chunk_size=1)
     start = time.perf_counter()
-    parallel = executor.run(spec, run_link_ber_point)
+    parallel = executor.run(spec, run_scenario_point)
     parallel_elapsed = time.perf_counter() - start
 
     assert parallel == serial  # bit-for-bit, element-for-element

@@ -1,67 +1,8 @@
-"""Unit tests for sweeps and table formatting."""
+"""Unit tests for table formatting."""
 
 import pytest
 
 from repro.analysis.reporting import Table, format_percentage, format_ratio, format_scientific
-from repro.analysis.sweep import cross_sweep, sweep
-
-
-class TestSweep:
-    def test_sweep_collects_rows(self):
-        rows = sweep([1, 2, 3], lambda v: {"square": v * v}, label="value")
-        assert rows == [
-            {"value": 1, "square": 1},
-            {"value": 2, "square": 4},
-            {"value": 3, "square": 9},
-        ]
-
-    def test_non_dict_results_are_wrapped(self):
-        rows = sweep([1, 2], lambda v: v + 10)
-        assert rows[0] == {"value": 1, "result": 11}
-
-    def test_custom_label_names_the_parameter_column(self):
-        rows = sweep([0.5, 1.5], lambda v: {"doubled": 2 * v}, label="snr_db")
-        assert rows == [
-            {"snr_db": 0.5, "doubled": 1.0},
-            {"snr_db": 1.5, "doubled": 3.0},
-        ]
-
-    def test_default_label_is_value(self):
-        rows = sweep([7], lambda v: {"x": v})
-        assert rows == [{"value": 7, "x": 7}]
-
-    def test_empty_values_yield_no_rows(self):
-        assert sweep([], lambda v: {"x": v}) == []
-
-    def test_generator_values_are_consumed_once(self):
-        rows = sweep((v for v in [1, 2]), lambda v: v * 10)
-        assert rows == [{"value": 1, "result": 10}, {"value": 2, "result": 20}]
-
-    def test_experiment_result_wins_a_column_collision(self):
-        # Legacy behaviour: the experiment's result is merged over the
-        # parameter column, so a result keyed like the label overwrites it.
-        rows = sweep([1], lambda v: {"value": "overwritten"})
-        assert rows == [{"value": "overwritten"}]
-
-    def test_cross_sweep_covers_all_pairs(self):
-        rows = cross_sweep([1, 2], ["a", "b"], lambda a, b: {"pair": (a, b)},
-                           labels=("x", "y"))
-        assert len(rows) == 4
-        assert rows[-1] == {"x": 2, "y": "b", "pair": (2, "b")}
-
-    def test_cross_sweep_default_labels(self):
-        rows = cross_sweep([1], [2], lambda a, b: a + b)
-        assert rows == [{"first": 1, "second": 2, "result": 3}]
-
-    def test_cross_sweep_row_order_is_first_axis_outermost(self):
-        rows = cross_sweep([1, 2], [10, 20], lambda a, b: {})
-        assert [(row["first"], row["second"]) for row in rows] == [
-            (1, 10), (1, 20), (2, 10), (2, 20),
-        ]
-
-    def test_cross_sweep_empty_axis_yields_no_rows(self):
-        assert cross_sweep([], [1, 2], lambda a, b: {}) == []
-        assert cross_sweep([1, 2], [], lambda a, b: {}) == []
 
 
 class TestFormatting:

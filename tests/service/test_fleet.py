@@ -4,7 +4,7 @@ Covers both backends: result parity with an in-process run of the same
 batches (determinism is carried entirely by the batch's derived seed),
 priority ordering, error capture in the executor's vocabulary,
 heartbeats, and — for the process backend — retry after a worker dies
-mid-batch.
+mid-batch, with numpy-array payloads riding the pipes both ways.
 """
 
 import multiprocessing
@@ -12,6 +12,7 @@ import os
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.analysis.adaptive import MeasurementBatch, run_link_ber_batch
@@ -61,13 +62,34 @@ def _failing_runner(batch):
 
 
 def _kill_once_runner(batch):
-    """Die abruptly on the first attempt, succeed on the retry."""
+    """Die abruptly on the first attempt, succeed on the retry.
+
+    The result carries the batch's array payload back, doubled, next to
+    the link counts.
+    """
     marker = batch.point.params["kill_marker"]
     if not os.path.exists(marker):
         with open(marker, "w", encoding="utf-8") as handle:
             handle.write("died")
         os._exit(13)  # no exception, no cleanup: a genuine worker death
-    return run_link_ber_batch(batch)
+    return dict(run_link_ber_batch(batch),
+                echo=2.0 * batch.point.params["data"])
+
+
+def _array_runner(batch):
+    """Echo the batch's array payload in two dtypes."""
+    data = batch.point.params["data"]
+    return {"echo": data * (batch.index + 1),
+            "c64": (data + 1j).astype(np.complex64)}
+
+
+def array_batches():
+    """Batches whose params carry a numpy array, so both the task and the
+    result pickle large contiguous buffers."""
+    spec = SweepSpec({"tag": [0, 1, 2]},
+                     constants={"data": np.linspace(0.0, 1.0, 2048)}, seed=23)
+    return [MeasurementBatch(point, index, 1)
+            for point in spec for index in range(2)]
 
 
 class TestThreadFleet:
@@ -243,19 +265,31 @@ class TestThreadFleet:
 class TestProcessFleet:
     def test_results_match_an_in_process_run(self):
         items = [(("item", i), batch) for i, batch in enumerate(batches())]
+        arrays = [(("array", i), batch)
+                  for i, batch in enumerate(array_batches())]
         with WorkerFleet(workers=2, backend="process",
                          mp_context="fork") as fleet:
             for item_id, batch in items:
                 fleet.submit(item_id, run_link_ber_batch, batch)
-            results = drain(fleet, len(items))
-        assert results == reference_results(items)
+            for item_id, batch in arrays:
+                fleet.submit(item_id, _array_runner, batch)
+            results = drain(fleet, len(items) + len(arrays))
+        assert {item_id: results[item_id] for item_id, _ in items} \
+            == reference_results(items)
+        for item_id, batch in arrays:
+            expected = _array_runner(batch)
+            for key, value in expected.items():
+                assert results[item_id][key].dtype == value.dtype
+                np.testing.assert_array_equal(results[item_id][key], value)
 
     def test_worker_death_retries_the_item_and_restarts_the_worker(
             self, tmp_path):
         marker = str(tmp_path / "first-attempt-died")
+        data = np.arange(100, dtype=np.float64)
         spec = SweepSpec({"snr_db": [4.0]},
                          constants={"rate_mbps": 24, "packet_bits": 600,
-                                    "batch_size": 4, "kill_marker": marker},
+                                    "batch_size": 4, "kill_marker": marker,
+                                    "data": data},
                          seed=23)
         batch = MeasurementBatch(list(spec)[0], 0, 4)
         with WorkerFleet(workers=1, backend="process", mp_context="fork",
@@ -267,7 +301,9 @@ class TestProcessFleet:
         # The retried result is bit-for-bit the normal one: the batch
         # carries its own seed derivation, so the replacement worker
         # cannot land on different bytes.
-        assert results["fragile"] == dict(run_link_ber_batch(batch))
+        retried = dict(results["fragile"])
+        np.testing.assert_array_equal(retried.pop("echo"), 2.0 * data)
+        assert retried == dict(run_link_ber_batch(batch))
         assert stats["retried"] == 1
         assert stats["workers_restarted"] >= 1
 
