@@ -99,7 +99,7 @@ def _run_replica(store_root, request, serial, *, attach_agent):
             assert rows == serial  # scheduling may never change bytes
             return {
                 "elapsed": elapsed,
-                "batches": service.broker.total_simulated_batches,
+                "batches": service.broker.status()["simulated_batches"],
                 "remote_completed": service.fleet.remote_completed,
             }
         finally:
@@ -120,14 +120,14 @@ def _dedup_probe(tmp_path, scale):
     def alone(root, request):
         with Service(str(root), workers=2) as service:
             service.submit(request).result(timeout=600)
-            return service.broker.total_simulated_batches
+            return service.broker.status()["simulated_batches"]
 
     alone_a = alone(tmp_path / "dedup-alone-a", request_a)
     alone_b = alone(tmp_path / "dedup-alone-b", request_b)
     with Service(str(tmp_path / "dedup-union"), workers=2) as reference:
         reference.submit(request_a).result(timeout=600)
         reference.submit(request_b).result(timeout=600)
-        union = reference.broker.total_simulated_batches
+        union = reference.broker.status()["simulated_batches"]
 
     shared = str(tmp_path / "dedup-shared")
     with Service(shared, workers=2, lease_ttl_s=10.0,
@@ -139,10 +139,10 @@ def _dedup_probe(tmp_path, scale):
         ticket_b = r2.submit(request_b)
         assert ticket_a.result(timeout=600) == serial_a
         assert ticket_b.result(timeout=600) == serial_b
-        simulated = (r1.broker.total_simulated_batches
-                     + r2.broker.total_simulated_batches)
-        waited = (r1.broker.lease_waited_batches
-                  + r2.broker.lease_waited_batches)
+        simulated = (r1.broker.status()["simulated_batches"]
+                     + r2.broker.status()["simulated_batches"])
+        waited = (r1.broker.metrics()["cluster"]["leases"]["waited"]
+                  + r2.broker.metrics()["cluster"]["leases"]["waited"])
     # The dedup contract: exactly the union, strictly under 2x serial.
     assert simulated == union
     assert simulated < alone_a + alone_b

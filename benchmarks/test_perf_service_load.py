@@ -154,7 +154,7 @@ def test_perf_service_load(scale, tmp_path):
                     "warm_ttfr": [o["time_to_first_row_s"]
                                   for o in outcomes if o["warm"]],
                     "batches_simulated":
-                        service.broker.total_simulated_batches,
+                        service.broker.status()["simulated_batches"],
                 }
             finally:
                 server.shutdown()
@@ -218,7 +218,7 @@ def test_perf_service_load(scale, tmp_path):
             unloaded = probe_request.experiment(
                 runner=gated_runner).run(SweepExecutor("serial"))
             assert sorted(retry_rows, key=lambda r: r["snr_db"]) == unloaded
-            rejected_total = service.broker.rejected_saturated
+            rejected_total = service.broker.status()["rejected_saturated"]
         finally:
             server.shutdown()
             server.server_close()

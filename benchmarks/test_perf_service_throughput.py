@@ -113,7 +113,7 @@ def test_perf_service_throughput(scale, tmp_path):
             elapsed = time.perf_counter() - start
             trial = {
                 "elapsed": elapsed,
-                "batches": service.broker.total_simulated_batches,
+                "batches": service.broker.status()["simulated_batches"],
                 "progress": {"a": ticket_a.progress(),
                              "b": ticket_b.progress()},
             }

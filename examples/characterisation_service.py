@@ -79,7 +79,7 @@ def in_process_demo(store_dir):
                      row["ber"], row["stop_reason"]))
         rows_a = ticket_a.result(timeout=300)
         rows_b = ticket_b.result(timeout=300)
-        simulated = service.broker.total_simulated_batches
+        simulated = service.broker.status()["simulated_batches"]
         progress_b = ticket_b.progress()
 
     # Both clients got bit-for-bit their serial Experiment rows...

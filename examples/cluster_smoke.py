@@ -108,11 +108,11 @@ def reference_counts(scratch_dir):
         with Service(os.path.join(scratch_dir, "alone-%d" % index),
                      workers=2) as service:
             service.submit(build_request(snrs)).result(timeout=300)
-            independent += service.broker.total_simulated_batches
+            independent += service.broker.status()["simulated_batches"]
     with Service(os.path.join(scratch_dir, "union"), workers=2) as service:
         service.submit(build_request(SNRS_A)).result(timeout=300)
         service.submit(build_request(SNRS_B)).result(timeout=300)
-        union = service.broker.total_simulated_batches
+        union = service.broker.status()["simulated_batches"]
     return serial_a, serial_b, independent, union
 
 

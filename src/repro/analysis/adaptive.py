@@ -64,7 +64,6 @@ import numpy as np
 
 from repro.analysis.ber_stats import BerMeasurement
 from repro.obs.phases import get_phase_hook
-from repro.analysis.fused import FusedBatchGroup, FusedBatchRunner, plan_fused_round
 from repro.analysis.sweep import SweepError
 
 #: Looseness denominator floor when a rule has no ``ber_floor``: keeps the
@@ -74,6 +73,16 @@ _TINY_BER = 1e-300
 #: Reserved keys a chunk-runner result must provide (everything else is an
 #: extra merged across batches).
 COUNT_KEYS = ("errors", "trials")
+
+
+def is_error_result(result):
+    """Whether a batch result is a captured ``{"error": ...}`` row.
+
+    Such a result stops its point with reason ``"error"`` and is never
+    persisted; a chunk-runner result carrying an ``error`` extra next to
+    its counts is an ordinary result.
+    """
+    return "error" in result and "errors" not in result
 
 
 # ---------------------------------------------------------------------- #
@@ -100,9 +109,10 @@ def batch_store_key(batch):
 
     The coordinates a :class:`~repro.analysis.store.StoreView` files the
     batch under are exactly the coordinates its random stream derives
-    from, so the key IS the stream's identity.  Shared by the scheduler's
-    store path and the characterisation service broker — two callers
-    filing the same batch must agree on the key byte for byte.
+    from, so the key IS the stream's identity.  The one resolution path
+    (:mod:`repro.analysis.resolver`) files both the scheduler's and the
+    characterisation service's batches under it, so the two agree on the
+    key byte for byte.
     """
     return tuple(int(word) for word in batch.point.seed_sequence.spawn_key)
 
@@ -397,52 +407,37 @@ class AdaptivePointState:
 # Executor-facing dispatch shims
 # ---------------------------------------------------------------------- #
 class _BatchPoint:
-    """Present a :class:`MeasurementBatch` to :class:`SweepExecutor`.
+    """Present one work item to :class:`SweepExecutor` as a sweep point.
 
     The executor only needs ``index`` (dispatch order within the round),
     ``params`` (merged into the row — empty here, the scheduler reassembles
-    rows itself) and ``label`` (error reporting).  A
-    :class:`~repro.analysis.fused.FusedBatchGroup` presents the same
-    surface, so fused rounds ride the same adapter.
+    rows itself) and ``label`` (error reporting).  ``payload`` is a
+    :class:`MeasurementBatch` or a
+    :class:`~repro.analysis.fused.FusedBatchGroup` (which presents the
+    same surface) and ``runner`` the item's runner.
     """
 
-    __slots__ = ("index", "batch")
+    __slots__ = ("index", "payload", "runner")
 
-    def __init__(self, index, batch):
+    def __init__(self, index, payload, runner=None):
         self.index = int(index)
-        self.batch = batch
+        self.payload = payload
+        self.runner = runner
 
     @property
     def params(self):
         return {}
 
-    @property
-    def coordinates(self):
-        return self.batch.point.coordinates
-
     def label(self):
-        return self.batch.label()
+        return self.payload.label()
 
     def __repr__(self):
         return "_BatchPoint(%d: %s)" % (self.index, self.label())
 
 
-class _BatchRunner:
-    """Picklable adapter running a chunk-runner on a :class:`_BatchPoint`.
-
-    A :class:`~repro.analysis.fused.FusedBatchGroup` item runs through the
-    fused tensor pass (with per-member fallback to the wrapped runner);
-    a plain batch runs the chunk-runner directly.
-    """
-
-    def __init__(self, chunk_runner):
-        self.chunk_runner = chunk_runner
-
-    def __call__(self, batch_point):
-        item = batch_point.batch
-        if isinstance(item, FusedBatchGroup):
-            return FusedBatchRunner(self.chunk_runner)(item)
-        return dict(self.chunk_runner(item))
+def _run_batch_point(batch_point):
+    """Picklable executor runner: one work item's runner on its payload."""
+    return dict(batch_point.runner(batch_point.payload))
 
 
 # ---------------------------------------------------------------------- #
@@ -565,7 +560,7 @@ class AdaptiveTrajectory:
             raise ValueError(
                 "batch %s was not started by this trajectory's current "
                 "round" % batch.label()) from None
-        if "error" in result and "errors" not in result:
+        if is_error_result(result):
             state.stop_reason = "error"
             state.error = result["error"]
             return state
@@ -684,8 +679,9 @@ class AdaptiveScheduler:
             spec, stop=self.stop, batch_packets=self.batch_packets,
             budget=self.budget,
         )
-        runner = _BatchRunner(chunk_runner)
+        from repro.analysis.resolver import BatchResolver
 
+        resolver = BatchResolver()
         # One worker pool for the whole run: a round often carries only a
         # few small batches, so paying pool startup per round would dwarf
         # the work (the session is a no-op for serial executors).
@@ -694,71 +690,33 @@ class AdaptiveScheduler:
                 batches = trajectory.start_round()
                 if not batches:
                     break
-                results = self._round_results(batches, runner, on_error, store)
-                for batch, result in zip(batches, results):
-                    trajectory.consume(batch, result)
+                resolutions, items = resolver.resolve(
+                    store, chunk_runner, batches, fused=self.fused)
+                for resolution in resolutions:
+                    if resolution.result is not None:
+                        trajectory.consume(resolution.batch,
+                                           resolution.result)
+                # In "raise" mode the executor itself raises SweepError
+                # naming the failing (point, batch) with the full worker
+                # traceback; per-member failures inside a fused group are
+                # captured by its runner instead and re-raised below with
+                # the member's label.
+                results = self.executor.run(
+                    [_BatchPoint(position, item.payload, item.runner)
+                     for position, item in enumerate(items)],
+                    _run_batch_point, on_error=on_error)
+                for item, result in zip(items, results):
+                    for work in resolver.complete(item.key, result):
+                        if work.put_error is not None:
+                            raise work.put_error
+                        for _, batch in work.subscribers:
+                            if on_error == "raise" \
+                                    and is_error_result(work.result):
+                                raise SweepError(
+                                    _BatchPoint(batches.index(batch), batch),
+                                    work.result["error"])
+                            trajectory.consume(batch, work.result)
         return trajectory.rows()
-
-    def _round_results(self, batches, runner, on_error, store):
-        """One round's chunk-runner results, served from the store or run.
-
-        Returns results aligned with ``batches``; only store misses are
-        dispatched through the executor, and their fresh results are
-        appended to the store (errors excluded).  With :attr:`fused` on
-        and the built-in link chunk-runner, misses are grouped by
-        :func:`~repro.analysis.fused.fuse_key` and each group runs as one
-        fused tensor pass, its per-member results distributed back to the
-        member batches' slots.
-        """
-        results = [None] * len(batches)
-        to_run = list(range(len(batches)))
-        if store is not None:
-            to_run = []
-            for i, batch in enumerate(batches):
-                cached = store.get(batch_store_key(batch), batch.index,
-                                   batch.num_packets)
-                if cached is None:
-                    to_run.append(i)
-                else:
-                    results[i] = cached
-        if not to_run:
-            return results
-        slot_of = {(batches[i].point.index, batches[i].index): i
-                   for i in to_run}
-        work = [batches[i] for i in to_run]
-        if self.fused and runner.chunk_runner is run_link_ber_batch:
-            groups, singles = plan_fused_round(work)
-            work = groups + singles
-        dispatch = [_BatchPoint(position, item)
-                    for position, item in enumerate(work)]
-        # In "raise" mode the executor itself raises SweepError naming
-        # the failing (point, batch) with the full worker traceback;
-        # per-member failures inside a fused group are captured by the
-        # runner instead and re-raised below with the member's label.
-        fresh = self.executor.run(dispatch, runner, on_error=on_error)
-
-        def settle(batch, result):
-            i = slot_of[(batch.point.index, batch.index)]
-            failed = "error" in result and "errors" not in result
-            if failed and on_error == "raise":
-                raise SweepError(_BatchPoint(i, batch), result["error"])
-            results[i] = result
-            if store is not None and not failed:
-                store.put(batch_store_key(batch), batch.index,
-                          batch.num_packets, result)
-
-        for item, result in zip(work, fresh):
-            if isinstance(item, FusedBatchGroup):
-                members = result.get("results")
-                if members is None:
-                    # The whole group errored before the per-member
-                    # fallback could run; the error applies to every slot.
-                    members = [result] * len(item.batches)
-                for batch, member in zip(item.batches, members):
-                    settle(batch, member)
-            else:
-                settle(item, result)
-        return results
 
     def __repr__(self):
         return "AdaptiveScheduler(stop=%r, batch_packets=%d, budget=%r, executor=%r)" % (

@@ -1,17 +1,18 @@
 """Typed metrics: counters, gauges, fixed-bucket histograms, Prometheus text.
 
-The service's ``GET /v1/metrics`` JSON ledger stays the scriptable
-source of truth (its keys are append-only across PRs), but a JSON blob
-cannot carry distributions — and stage latency *is* a distribution.
-This module adds the typed layer underneath:
+The broker's counters live here: its ``GET /v1/metrics`` JSON document
+(keys append-only across PRs) and ``status()`` read the same counter
+children the Prometheus exposition renders, so each event is counted
+once.  Histograms add what a JSON blob cannot carry — distributions,
+and stage latency *is* a distribution.  The pieces:
 
 * :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments,
   grouped into named **families** with optional labels, owned by a
   :class:`MetricsRegistry`.
 * **Callback families** whose samples are computed at render time from
-  a closure — how the broker exposes its lock-guarded ledger counters
-  without double bookkeeping: the ints stay the single source of truth
-  and the callback reads them under the broker lock during render.
+  a closure — for state another object owns (a lease manager's
+  counters, fleet heartbeats, the in-flight batch count), read under
+  the broker lock during render.
 * :func:`render_prometheus`: the text exposition format
   (``# HELP``/``# TYPE``, cumulative ``_bucket{le=...}`` + ``_sum`` +
   ``_count``), and :func:`parse_exposition`, a strict validator used by

@@ -3,29 +3,19 @@
 The broker is the service's brain.  Each submitted
 :class:`~repro.service.requests.CharacterisationRequest` becomes a
 :class:`RequestTicket` wrapping a live
-:class:`~repro.analysis.adaptive.AdaptiveTrajectory`; the broker advances
-every ticket round by round, answering each needed batch from the
-cheapest source that has it:
-
-1. **request coalescing** — an identical in-flight ask
-   (:meth:`~repro.service.requests.CharacterisationRequest.request_key`)
-   returns the existing ticket, no new work at all;
-2. **the result store** — batches already on disk are consumed
-   immediately, without touching the fleet (a fully warm request
-   completes synchronously inside :meth:`CharacterisationBroker.submit`,
-   and a partial hit resumes at exactly the missing batch indices);
-3. **in-flight work merging** — a batch another request is already
-   simulating is *subscribed to*, not re-enqueued: overlapping requests'
-   miss-sets merge at ``(namespace, point, batch index)`` granularity;
-4. **another replica's in-flight work** — with a
-   :class:`~repro.service.cluster.LeaseManager` configured, a batch
-   whose lease another replica holds is *parked*: this broker polls the
-   shared store for the winner's appended result instead of simulating
-   it too, and reclaims the lease (then simulates locally) if the
-   winner crashes and its lease goes stale;
-5. **the worker fleet** — only genuinely novel batches are enqueued, one
-   work item per batch, ordered by ``(priority, deadline, arrival)`` so a
-   huge low-priority sweep cannot head-of-line-block a small urgent one.
+:class:`~repro.analysis.adaptive.AdaptiveTrajectory`, unless an
+identical in-flight ask
+(:meth:`~repro.service.requests.CharacterisationRequest.request_key`)
+is already running: then it coalesces onto that ticket and adds no work
+at all.  The broker advances every ticket round by round and answers
+each batch through :class:`~repro.analysis.resolver.BatchResolver`, the
+resolution path ``Experiment`` uses too: from the result store (a fully
+warm request completes inside :meth:`CharacterisationBroker.submit`, a
+partial hit resumes at exactly the missing batch indices), from a batch
+another request already has in flight, from another replica's lease, or
+— only for genuinely novel batches — from the worker fleet, ordered by
+``(priority, deadline, arrival)`` so a huge low-priority sweep cannot
+head-of-line-block a small urgent one.
 
 Rows stream back through the ticket the moment their point stops;
 because batch contents are pure functions of ``(point, batch index)``,
@@ -57,8 +47,8 @@ one hold one unit each, and :meth:`CharacterisationBroker.cancel` (or
 the ticket is *released*: it is unsubscribed from every in-flight batch
 — shared batches keep running untouched for their surviving subscribers,
 so their rows stay bit-for-bit — and queued batches nobody else wants
-are withdrawn from the fleet before a worker starts them (the
-``released_batches`` ledger).  A batch already executing runs to
+are withdrawn from the fleet before a worker starts them (counted as
+``released`` batches).  A batch already executing runs to
 completion and lands in the store; only its delivery to the cancelled
 ticket is skipped.  :meth:`close_admission` plus :meth:`drain` implement
 graceful shutdown: stop admitting, finish what is in flight, then stop.
@@ -70,15 +60,21 @@ import queue
 import threading
 import time
 
-from repro.analysis.adaptive import batch_store_key, run_link_ber_batch
-from repro.analysis.fused import FusedBatchRunner, plan_fused_round
+from repro.analysis.resolver import BatchResolver
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.service.quota import ClientQuota
 
 __all__ = ["ServiceError", "ServiceSaturated", "ClientQuota", "RequestTicket",
            "CharacterisationBroker"]
 
 _logger = logging.getLogger(__name__)
+
+#: The resolver's batch sources, as a ticket tallies them.
+_SOURCES = ("cached", "simulated", "shared", "leased")
+
+#: Source labels in ``repro_batches_total`` and on spans, where renamed.
+_SOURCE_LABEL = {"leased": "lease-parked"}
 
 
 class ServiceError(RuntimeError):
@@ -96,67 +92,6 @@ class ServiceSaturated(ServiceError):
     def __init__(self, message, retry_after_s=1.0):
         super().__init__(message)
         self.retry_after_s = max(0.0, float(retry_after_s))
-
-
-class ClientQuota:
-    """A per-client token-bucket packet quota, enforced at admission.
-
-    Each ``client_id`` gets its own bucket holding up to
-    ``burst_packets`` tokens, refilled continuously at
-    ``packets_per_s``.  Admission charges a request's worst-case packet
-    cost (:meth:`~repro.service.requests.CharacterisationRequest.packet_cost`);
-    a request the bucket cannot currently afford is rejected with
-    :class:`ServiceSaturated` naming the wait, and one it can *never*
-    afford (cost above the burst) with a plain :class:`ServiceError`.
-    """
-
-    def __init__(self, packets_per_s, burst_packets):
-        if not packets_per_s > 0:
-            raise ValueError("packets_per_s must be positive")
-        if not burst_packets >= 1:
-            raise ValueError("burst_packets must be at least 1")
-        self.packets_per_s = float(packets_per_s)
-        self.burst_packets = float(burst_packets)
-
-    def bucket(self):
-        return _TokenBucket(self.packets_per_s, self.burst_packets)
-
-    def __repr__(self):
-        return "ClientQuota(packets_per_s=%g, burst_packets=%g)" % (
-            self.packets_per_s, self.burst_packets)
-
-
-class _TokenBucket:
-    """One client's token bucket (guarded by the broker lock)."""
-
-    __slots__ = ("rate", "burst", "tokens", "updated")
-
-    def __init__(self, rate, burst):
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self.tokens = float(burst)
-        self.updated = None
-
-    def level(self, now):
-        """Tokens available at ``now`` (refills as a side effect)."""
-        if self.updated is not None and now > self.updated:
-            self.tokens = min(self.burst,
-                              self.tokens + (now - self.updated) * self.rate)
-        self.updated = now
-        return self.tokens
-
-    def try_take(self, amount, now=None):
-        """Charge ``amount`` tokens: 0.0 on success, seconds to wait on
-        a temporary shortfall, ``None`` when ``amount`` exceeds the
-        burst (never affordable)."""
-        now = time.monotonic() if now is None else now
-        available = self.level(now)
-        if amount > self.burst:
-            return None
-        if amount <= available:
-            self.tokens = available - amount
-            return 0.0
-        return (amount - available) / self.rate
 
 
 class RequestTicket:
@@ -190,10 +125,9 @@ class RequestTicket:
         #: — one HTTP client hanging up must not kill its twin's stream.
         self.interest = 1
         self.cancelled = False
-        self.cached_batches = 0
-        self.simulated_batches = 0
-        self.shared_batches = 0
-        self.leased_batches = 0
+        #: Batches of this request by the source that answered them
+        #: (``cached``, ``simulated``, ``shared``, ``leased``).
+        self.tally = dict.fromkeys(_SOURCES, 0)
         self.first_row_at = None
         self.finished_at = None
         self.failure = None
@@ -202,13 +136,14 @@ class RequestTicket:
         #: Root obs span of the request's trace (the null span unless the
         #: broker runs with tracing enabled); ended on finish/fail/cancel.
         self.span = obs_trace.NULL_SPAN
+        #: Live ``batch`` spans of the batches still awaited, by work key.
+        self.batch_spans = {}
         self._broker = None        # set by the broker right after creation
         self._lock = lock          # the broker's lock; guards all state
         self._events = []
         self._subscribers = []
         self._emitted = set()      # point indices already streamed
-        self._per_point = {state.point.index: {"cached": 0, "simulated": 0,
-                                               "shared": 0, "leased": 0}
+        self._per_point = {state.point.index: dict.fromkeys(_SOURCES, 0)
                            for state in trajectory.states}
 
     # ------------------------------------------------------------------ #
@@ -216,8 +151,7 @@ class RequestTicket:
     # ------------------------------------------------------------------ #
     def _note(self, batch, source):
         self._per_point[batch.point.index][source] += 1
-        setattr(self, source + "_batches",
-                getattr(self, source + "_batches") + 1)
+        self.tally[source] += 1
 
     def _emit(self, event):
         self._events.append(event)
@@ -241,37 +175,28 @@ class RequestTicket:
                 "progress": self._progress_locked(points=False),
             })
 
-    def _finish(self):
+    def _end(self, outcome, message=None):
+        """Emit the terminal ``done``, ``failed`` or ``cancelled`` event
+        and release every consumer."""
         self.finished_at = time.time()
-        self.final_rows = self.trajectory.rows()
-        self._emit({"event": "done", "request": self.key,
-                    "progress": self._progress_locked()})
-        self._close_subscribers()
-        self.span.end(outcome="done")
-
-    def _fail(self, message):
-        self.failure = str(message)
-        self.finished_at = time.time()
-        self._emit({"event": "failed", "request": self.key,
-                    "error": self.failure})
-        self._close_subscribers()
-        self.span.end(outcome="failed")
-
-    def _cancel(self, reason):
-        self.cancelled = True
-        self.failure = str(reason)
-        self.finished_at = time.time()
-        self._emit({"event": "cancelled", "request": self.key,
-                    "reason": self.failure,
-                    "progress": self._progress_locked(points=False)})
-        self._close_subscribers()
-        self.span.end(outcome="cancelled")
-
-    def _close_subscribers(self):
+        event = {"event": outcome, "request": self.key}
+        if outcome == "done":
+            self.final_rows = self.trajectory.rows()
+            event["progress"] = self._progress_locked()
+        else:
+            self.failure = str(message)
+            self.cancelled = outcome == "cancelled"
+            if self.cancelled:
+                event["reason"] = self.failure
+                event["progress"] = self._progress_locked(points=False)
+            else:
+                event["error"] = self.failure
+        self._emit(event)
         for subscriber in self._subscribers:
             subscriber.put(None)
         self._subscribers = []
         self.done.set()
+        self.span.end(outcome=outcome)
 
     # ------------------------------------------------------------------ #
     # Consumer API
@@ -359,10 +284,10 @@ class RequestTicket:
             "points_done": sum(1 for s in states if s.stop_reason is not None),
             "packets_spent": sum(s.packets for s in states),
             "batches": sum(s.batches for s in states),
-            "batches_cached": self.cached_batches,
-            "batches_simulated": self.simulated_batches,
-            "batches_shared": self.shared_batches,
-            "batches_leased": self.leased_batches,
+            "batches_cached": self.tally["cached"],
+            "batches_simulated": self.tally["simulated"],
+            "batches_shared": self.tally["shared"],
+            "batches_leased": self.tally["leased"],
             "budget_left": self.trajectory.budget_left,
             "coalesced_submissions": self.coalesced,
             "stop_reasons": reasons,
@@ -389,8 +314,8 @@ class RequestTicket:
     def __repr__(self):
         return ("RequestTicket(%s..., done=%r, cached=%d, simulated=%d, "
                 "shared=%d)" % (self.key[:12], self.done.is_set(),
-                                self.cached_batches, self.simulated_batches,
-                                self.shared_batches))
+                                self.tally["cached"], self.tally["simulated"],
+                                self.tally["shared"]))
 
 
 class CharacterisationBroker:
@@ -428,14 +353,15 @@ class CharacterisationBroker:
         admission.
     leases:
         Optional :class:`~repro.service.cluster.LeaseManager` enabling
-        cross-replica dedup.  A store-miss batch is only dispatched
-        after its lease is acquired; one whose lease another replica
-        holds is parked and answered from the store when the winner's
-        result lands (polled from :meth:`pump`, throttled by
-        ``lease_poll_s``).  Leases are advisory — losing every race
-        costs duplicate work, never wrong rows.
+        the resolver's cross-replica lease step; parked batches are
+        polled from :meth:`pump`.  Leases are advisory — losing every
+        race costs duplicate work, never wrong rows.
     lease_poll_s:
         Seconds between store polls for lease-parked batches.
+    registry:
+        The :class:`~repro.obs.metrics.MetricsRegistry` holding the
+        broker's instruments (default: a fresh one).  Its counters are
+        this broker's ledger, so each broker needs its own.
     """
 
     def __init__(self, store, fleet, runner=None, max_inflight_batches=None,
@@ -457,42 +383,22 @@ class CharacterisationBroker:
         self.leases = leases
         self.lease_poll_s = float(lease_poll_s)
         self.admission_open = True
+        #: The batch-resolution chain ``Experiment`` shares, too.
+        self.resolver = BatchResolver(leases)
         self._lock = threading.RLock()
         self._tickets = {}        # request_key -> in-flight ticket
         self._views = {}          # namespace digest -> shared StoreView
-        self._inflight_work = {}  # work key -> [(ticket, batch), ...]
-        self._group_members = {}  # group key -> [(work key, batch), ...]
-        self._group_of = {}       # member work key -> its group key
         self._buckets = {}        # client_id -> _TokenBucket
         self._dispatched_at = {}  # fleet item key -> dispatch timestamp
-        self._batch_spans = {}    # work key -> {ticket key -> live obs span}
-        self._group_spans = {}    # fused group key -> live obs span
-        self._lease_waits = {}    # work key -> [(ticket, batch), ...]
+        self._group_spans = {}    # fused item key -> live obs span
         self._lease_poll_at = 0.0
         self._item_seconds = None  # EWMA of fleet item wall-clock
-        self._group_seq = 0
         self._ticket_seq = 0
         self._item_seq = 0           # dispatch-order tie-break generator
-        self.simulated_batches = 0   # actual fleet submissions
-        self.cached_batches = 0      # batches answered from the store
-        self.shared_batches = 0      # batches answered by in-flight merge
-        self.released_batches = 0    # queued batches withdrawn by cancel
-        self.lease_waited_batches = 0     # batches parked on a peer's lease
-        self.lease_answered_batches = 0   # parked batches answered by peers
-        self.lease_reclaimed_batches = 0  # parked batches simulated locally
-        self.delivered_batches = 0   # per-ticket batch consumes that landed
-        self.admitted_requests = 0   # non-coalesced submits past admission
-        self.completed_requests = 0
-        self.failed_requests = 0
-        self.cancelled_requests = 0
-        self.rejected_saturated = 0  # submits refused by the in-flight caps
-        self.rejected_quota = 0      # submits refused by the client quota
-        #: Typed metrics layered over (not replacing) the int ledger: the
-        #: ints above stay the single source of truth, mutated only under
-        #: the broker lock; callback families re-read them at render time
-        #: (``prometheus_text`` renders under the lock, so one scrape is
-        #: one consistent snapshot) and histograms add the distributions
-        #: JSON cannot carry.
+        #: The counters are the broker's only ledger.  They change only
+        #: under the broker lock, and ``metrics()``, ``status()`` and the
+        #: Prometheus exposition (rendered under the lock too) all read
+        #: them there, so every snapshot is one consistent instant.
         self.registry = registry if registry is not None \
             else obs_metrics.MetricsRegistry()
         stage = self.registry.histogram(
@@ -503,22 +409,25 @@ class CharacterisationBroker:
         self._h_simulate = stage.labels(stage="simulate")
         self._h_store_put = stage.labels(stage="store_put")
         self._h_deliver = stage.labels(stage="deliver")
-        self.registry.callback(
+        self._requests = _children(self.registry.counter(
             "repro_requests_total", "Requests by lifecycle state "
             "(admitted = past admission control; coalesced add no work)",
-            "counter", self._collect_requests)
-        self.registry.callback(
+            ("state",)), "admitted", "completed", "failed", "cancelled")
+        self._batches = _children(self.registry.counter(
             "repro_batches_total", "Batches answered, by source",
-            "counter", self._collect_batches)
+            ("source",)), "cached", "simulated", "shared", "lease-parked",
+            "released", "delivered")
+        self._rejected = _children(self.registry.counter(
+            "repro_rejected_total", "Submits refused at admission",
+            ("reason",)), "saturated", "quota")
+        #: Lease-parked batches a peer answered, or reclaimed and run here.
+        self._lease_outcomes = {
+            name: obs_metrics.Counter(threading.Lock())
+            for name in ("answered", "reclaimed")}
         self.registry.callback(
             "repro_batches_in_flight",
             "Batches queued or executing right now", "gauge",
-            lambda: [({}, len(self._inflight_work))])
-        self.registry.callback(
-            "repro_rejected_total", "Submits refused at admission",
-            "counter", lambda: [({"reason": "saturated"},
-                                 self.rejected_saturated),
-                                ({"reason": "quota"}, self.rejected_quota)])
+            lambda: [({}, len(self.resolver.inflight))])
         self.registry.callback(
             "repro_lease_events_total",
             "Cross-replica lease traffic (zero when leases are off)",
@@ -529,28 +438,14 @@ class CharacterisationBroker:
             self._collect_heartbeats)
 
     # ------------------------------------------------------------------ #
-    def _collect_requests(self):
-        return [({"state": "admitted"}, self.admitted_requests),
-                ({"state": "completed"}, self.completed_requests),
-                ({"state": "failed"}, self.failed_requests),
-                ({"state": "cancelled"}, self.cancelled_requests)]
-
-    def _collect_batches(self):
-        return [({"source": "cached"}, self.cached_batches),
-                ({"source": "simulated"}, self.simulated_batches),
-                ({"source": "shared"}, self.shared_batches),
-                ({"source": "lease-parked"}, self.lease_waited_batches),
-                ({"source": "released"}, self.released_batches),
-                ({"source": "delivered"}, self.delivered_batches)]
-
     def _collect_leases(self):
         stats = self.leases.stats() if self.leases is not None else {}
         return ([({"event": name}, stats.get(name, 0))
                  for name in ("acquired", "contended", "reclaimed_stale",
                               "released", "lost")]
-                + [({"event": "parked"}, self.lease_waited_batches),
-                   ({"event": "answered"}, self.lease_answered_batches),
-                   ({"event": "reclaimed"}, self.lease_reclaimed_batches)])
+                + [({"event": "parked"}, self._batches["lease-parked"].value)]
+                + [({"event": name}, counter.value)
+                   for name, counter in self._lease_outcomes.items()])
 
     def _collect_heartbeats(self):
         now = time.time()
@@ -560,8 +455,8 @@ class CharacterisationBroker:
     def prometheus_text(self):
         """Prometheus text exposition of this broker's registry plus the
         process-wide one (store/lease instruments), rendered under the
-        broker lock so every callback family reads one consistent
-        ledger snapshot."""
+        broker lock so every family reads one consistent ledger
+        snapshot."""
         with self._lock:
             return obs_metrics.render_prometheus(self.registry,
                                                  obs_metrics.GLOBAL)
@@ -610,10 +505,8 @@ class CharacterisationBroker:
             experiment = request.experiment(store=self.store,
                                             runner=self.runner)
             digest = experiment.store_digest()
-            view = self._views.get(digest)
-            if view is None:
-                view = experiment.store_view()
-                self._views[digest] = view
+            if digest not in self._views:
+                self._views[digest] = experiment.store_view()
             self._ticket_seq += 1
             ticket = RequestTicket(request, key, digest,
                                    experiment.trajectory(),
@@ -627,7 +520,7 @@ class CharacterisationBroker:
                     points=len(ticket.trajectory.states),
                     priority=request.priority)
             self._tickets[key] = ticket
-            self.admitted_requests += 1
+            self._requests["admitted"].inc()
             try:
                 self._advance(ticket)
             except Exception as exc:
@@ -635,9 +528,7 @@ class CharacterisationBroker:
                 # synchronous warm replay (corrupt store record, fleet
                 # stopping under us) must not park a forever-pending
                 # ticket that all future identical requests coalesce onto.
-                self._tickets.pop(key, None)
-                self.failed_requests += 1
-                ticket._fail("submit failed: %s: %s"
+                self._retire(ticket, "failed", "submit failed: %s: %s"
                              % (type(exc).__name__, exc))
                 raise
             return ticket
@@ -649,17 +540,17 @@ class CharacterisationBroker:
                 "service is draining; not accepting new requests")
         if self.max_requests is not None \
                 and len(self._tickets) >= self.max_requests:
-            self.rejected_saturated += 1
+            self._rejected["saturated"].inc()
             raise ServiceSaturated(
                 "service saturated: %d request(s) in flight (cap %d)"
                 % (len(self._tickets), self.max_requests),
                 retry_after_s=self._retry_after_s())
         if self.max_inflight_batches is not None \
-                and len(self._inflight_work) >= self.max_inflight_batches:
-            self.rejected_saturated += 1
+                and len(self.resolver.inflight) >= self.max_inflight_batches:
+            self._rejected["saturated"].inc()
             raise ServiceSaturated(
                 "service saturated: %d batch(es) in flight (budget %d)"
-                % (len(self._inflight_work), self.max_inflight_batches),
+                % (len(self.resolver.inflight), self.max_inflight_batches),
                 retry_after_s=self._retry_after_s())
         if self.quota is not None:
             client = request.client_id
@@ -669,13 +560,13 @@ class CharacterisationBroker:
             cost = request.packet_cost()
             wait_s = bucket.try_take(cost)
             if wait_s is None:
-                self.rejected_quota += 1
+                self._rejected["quota"].inc()
                 raise ServiceError(
                     "request cost (%d packets) exceeds client %r quota "
                     "burst (%g packets); it can never be admitted — split "
                     "the ask" % (cost, client, self.quota.burst_packets))
             if wait_s > 0:
-                self.rejected_quota += 1
+                self._rejected["quota"].inc()
                 raise ServiceSaturated(
                     "client %r is over its packet quota (ask: %d packets); "
                     "retry in %.1f s" % (client, cost, wait_s),
@@ -689,40 +580,31 @@ class CharacterisationBroker:
         any item has completed) so a ``Retry-After`` header is never 0.
         """
         per_item = self._item_seconds if self._item_seconds else 1.0
-        backlog = max(1, len(self._inflight_work))
-        width = max(1, getattr(self.fleet, "capacity", self.fleet.workers))
-        return max(1.0, per_item * backlog / width)
+        backlog = max(1, len(self.resolver.inflight))
+        return max(1.0, per_item * backlog / max(1, self.fleet.capacity))
 
     def pump(self, timeout=0.0):
         """Fold completed fleet items back in; count of items processed.
 
-        With leases enabled this also services the cross-replica side:
-        held leases are refreshed (so they never go stale under a live
-        replica) and lease-parked batches are advanced — answered from
-        the store once the winning replica's result lands, or reclaimed
-        and simulated locally if the winner's lease expired.
+        With leases enabled this also refreshes the held leases and
+        advances the lease-parked batches (see :meth:`_poll_parked`).
         """
         results = self.fleet.poll(timeout)
         with self._lock:
-            for work_key, result in results:
-                self._on_result(work_key, result)
+            for item_key, result in results:
+                self._on_result(item_key, result)
             if self.leases is not None:
-                self._poll_leases()
+                self._poll_parked()
         return len(results)
 
     def cancel(self, request_key, reason="cancelled by client"):
         """Release one consumer's interest in an in-flight request.
 
-        Each submit of an identical request (the original plus every
-        coalesced one) holds one unit of interest; this releases one.
-        When the last unit goes the ticket is released for real: it is
-        unsubscribed from every in-flight batch (shared batches keep
-        running, bit-for-bit, for their surviving subscribers), queued
-        batches nobody else wants are withdrawn from the fleet before a
-        worker starts them (counted in ``released_batches``), and the
-        ticket finishes with a terminal ``"cancelled"`` event.  Batches
-        already executing run to completion and still land in the store
-        — cancellation never wastes work that was already paid for.
+        The last unit of interest releases the ticket for real (see
+        *Cancellation and drain* in the module docstring): queued items
+        no remaining request awaits are withdrawn — a fused group only
+        once every member is orphaned — and counted as ``released``
+        batches, and the ticket ends with a ``"cancelled"`` event.
 
         Returns ``True`` when the request was in flight (interest
         released), ``False`` when no such request is live (unknown key,
@@ -735,63 +617,15 @@ class CharacterisationBroker:
             ticket.interest -= 1
             if ticket.interest > 0:
                 return True
-            self._release_ticket(ticket, reason)
+            for item_key in self._retire(ticket, "cancelled", reason):
+                if not self.fleet.cancel(item_key):
+                    continue
+                self._batches["released"].inc(self.resolver.forget(item_key))
+                self._dispatched_at.pop(item_key, None)
+                group_span = self._group_spans.pop(item_key, None)
+                if group_span is not None:
+                    group_span.end(outcome="cancelled")
             return True
-
-    def _release_ticket(self, ticket, reason):
-        """Drop a ticket out of the machinery (lock held, interest 0)."""
-        self._tickets.pop(ticket.key, None)
-        self.cancelled_requests += 1
-        for work_key, spans in list(self._batch_spans.items()):
-            span = spans.pop(ticket.key, None)
-            if span is not None:
-                span.end(outcome="cancelled")
-            if not spans:
-                self._batch_spans.pop(work_key, None)
-        for work_key, subscribers in list(self._inflight_work.items()):
-            remaining = [entry for entry in subscribers
-                         if entry[0] is not ticket]
-            if len(remaining) != len(subscribers):
-                # An empty list stays registered: a batch some worker is
-                # already executing must still land in the store when it
-                # returns (see _deliver) — only its delivery is orphaned.
-                self._inflight_work[work_key] = remaining
-        # Lease-parked batches cost nothing to abandon: drop the ticket's
-        # entries; a key with no waiters left stops being polled.  (The
-        # lease belongs to the *other* replica — nothing to release.)
-        for work_key, waiters in list(self._lease_waits.items()):
-            remaining = [entry for entry in waiters if entry[0] is not ticket]
-            if remaining:
-                self._lease_waits[work_key] = remaining
-            else:
-                self._lease_waits.pop(work_key, None)
-        # Withdraw queued single-batch items nobody subscribes to anymore.
-        for work_key, subscribers in list(self._inflight_work.items()):
-            if subscribers or work_key in self._group_of:
-                continue
-            if self.fleet.cancel(work_key):
-                self._inflight_work.pop(work_key, None)
-                self._dispatched_at.pop(work_key, None)
-                self._release_lease(work_key)
-                self.released_batches += 1
-        # A fused group is one fleet item carrying many batches: it can
-        # only be withdrawn when every member lost its last subscriber.
-        for group_key, members in list(self._group_members.items()):
-            if any(self._inflight_work.get(work_key) for work_key, _ in members):
-                continue
-            if not self.fleet.cancel(group_key):
-                continue
-            for work_key, _batch in members:
-                self._inflight_work.pop(work_key, None)
-                self._group_of.pop(work_key, None)
-                self._release_lease(work_key)
-                self.released_batches += 1
-            self._group_members.pop(group_key, None)
-            self._dispatched_at.pop(group_key, None)
-            group_span = self._group_spans.pop(group_key, None)
-            if group_span is not None:
-                group_span.end(outcome="cancelled")
-        ticket._cancel(reason)
 
     def close_admission(self):
         """Stop admitting new requests (in-flight ones keep running)."""
@@ -824,320 +658,179 @@ class CharacterisationBroker:
             tickets[0].done.wait(poll_s)
 
     def shutdown(self, message="service stopped"):
-        """Fail every in-flight ticket (used on service shutdown)."""
+        """Fail every in-flight ticket (used on service shutdown).
+
+        Unfinished batches are forgotten and their leases released, and
+        every namespace's store usage is flushed to its sidecar.
+        """
         with self._lock:
             for ticket in list(self._tickets.values()):
-                ticket._fail(message)
-                self.failed_requests += 1
-            self._tickets = {}
-            self._inflight_work = {}
-            self._group_members = {}
-            self._group_of = {}
+                self._retire(ticket, "failed", message)
+            self.resolver.reset()
             self._dispatched_at = {}
-            for spans in self._batch_spans.values():
-                for span in spans.values():
-                    span.end(outcome="shutdown")
             for span in self._group_spans.values():
                 span.end(outcome="shutdown")
-            self._batch_spans = {}
             self._group_spans = {}
-            self._lease_waits = {}
-            if self.leases is not None:
-                self.leases.release_all()
+            for view in self._views.values():
+                view.flush_stats()
 
     # ------------------------------------------------------------------ #
-    def _open_batch_span(self, ticket, batch, work_key, source):
-        """A live span for one (ticket, batch) until its result folds in.
+    def _retire(self, ticket, outcome, message=None):
+        """End a ticket ``"done"``, ``"failed"`` or ``"cancelled"`` (lock
+        held); every ticket leaves through here.
 
-        Only called with tracing on; the span records the batch's full
-        service-side residence (dispatch/park through delivery), so the
-        gap between it and its worker-side ``simulate`` child is the
-        queue wait the waterfall makes visible.
+        Whatever the outcome, the namespace's store lookups are flushed
+        to the usage sidecar ``repro-store gc`` ages namespaces on.
+        Returns the items no request awaits any more, which
+        cancellation withdraws.
         """
-        span = ticket.span.child("batch", source=source,
-                                 point=batch.point.index, batch=batch.index)
-        self._batch_spans.setdefault(work_key, {})[ticket.key] = span
-        return span
+        self._tickets.pop(ticket.key, None)
+        orphans = self.resolver.unsubscribe(ticket)
+        for span in ticket.batch_spans.values():
+            span.end(outcome=outcome)
+        ticket.batch_spans = {}
+        ticket._end(outcome, message)
+        self._requests["completed" if outcome == "done" else outcome].inc()
+        self._views[ticket.digest].flush_stats()
+        return orphans
+
+    def _record(self, ticket, resolution):
+        """Count one batch resolution into the ticket's tally, the batch
+        counter and, when traced, a span (lock held).
+
+        A batch not answered at once gets a live span for its whole
+        service-side residence, so the gap between it and its
+        worker-side ``simulate`` child is the queue wait.
+        """
+        batch, source = resolution.batch, resolution.source
+        label = _SOURCE_LABEL.get(source, source)
+        ticket._note(batch, source)
+        self._batches[label].inc()
+        tracer = obs_trace.get_tracer()
+        if not (tracer.enabled and ticket.span.enabled):
+            return
+        if source == "cached":
+            tracer.event("batch", ticket.span, time.time(), 0.0,
+                         {"source": label, "point": batch.point.index,
+                          "batch": batch.index})
+        else:
+            ticket.batch_spans[resolution.key] = ticket.span.child(
+                "batch", source=label, point=batch.point.index,
+                batch=batch.index)
+
+    def _priority(self, ticket):
+        """The fleet priority of the ticket's next item: priority lane,
+        deadline, arrival, then dispatch order."""
+        self._item_seq += 1
+        return (ticket.request.priority, ticket.deadline_at, ticket.seq,
+                self._item_seq)
 
     def _advance(self, ticket):
-        """Drive a ticket forward until it blocks on fleet work or ends."""
-        tracer = obs_trace.get_tracer()
-        traced = tracer.enabled and ticket.span.enabled
+        """Drive a ticket forward until it blocks on unfinished batches
+        or ends (lock held)."""
         trajectory = ticket.trajectory
         view = self._views[ticket.digest]
         while not trajectory.round_in_flight:
             if trajectory.finished:
                 ticket._emit_new_rows()
-                ticket._finish()
-                view.flush_stats()
-                self._tickets.pop(ticket.key, None)
-                self.completed_requests += 1
+                self._retire(ticket, "done")
                 return
             batches = trajectory.start_round()
             # start_round may stop points on its own (budget exhaustion).
             ticket._emit_new_rows()
             if not batches:
                 continue
-            pending = []
-            for batch in batches:
-                if traced:
-                    hit_ts, hit_t0 = time.time(), time.perf_counter()
-                cached = view.get(batch_store_key(batch), batch.index,
-                                  batch.num_packets)
-                if cached is None:
-                    pending.append(batch)
-                    continue
-                ticket._note(batch, "cached")
-                self.cached_batches += 1
-                self.delivered_batches += 1
-                if traced:
-                    tracer.event("batch", ticket.span, hit_ts,
-                                 time.perf_counter() - hit_t0,
-                                 {"source": "cached",
-                                  "point": batch.point.index,
-                                  "batch": batch.index})
-                trajectory.consume(batch, cached)
-                ticket._emit_new_rows()
-            self._dispatch_pending(ticket, pending)
-            if pending:
-                return
+            resolutions, items = self.resolver.resolve(
+                view, ticket.runner, batches, owner=ticket)
+            for resolution in resolutions:
+                self._record(ticket, resolution)
+                if resolution.source == "shared":
+                    # Another request already has this batch queued: if
+                    # we are the more urgent requester, pull its item
+                    # forward so the shared batch does not keep the
+                    # lazier request's queue position.
+                    self.fleet.promote(resolution.item_key,
+                                       self._priority(ticket))
+            # Queue the new items before folding stored answers in: a
+            # fault while folding must not strand items never submitted.
+            self._submit(items)
+            for resolution in resolutions:
+                if resolution.result is not None:
+                    trajectory.consume(resolution.batch, resolution.result)
+                    self._batches["delivered"].inc()
+                    ticket._emit_new_rows()
 
-    def _dispatch_pending(self, ticket, pending):
-        """Route a round's store-miss batches to the fleet.
-
-        In-flight duplicates are subscribed to first; with leases
-        enabled, batches whose lease another replica holds are parked
-        for store polling next.  The genuinely fresh remainder is fused
-        by :func:`~repro.analysis.fused.plan_fused_round` (when the
-        ticket runs the built-in link runner) so a round's same-shape
-        batches cost one tensor pass instead of one dispatch each.
-        Fusion never changes what a batch's result *is* — each member
-        still lands in the store and in every subscriber under its own
-        work key — only how many fleet items carry it.
-        """
+    def _submit(self, items):
+        """Queue work items on the fleet at their owner's priority (lock
+        held); the broker's one fleet submission site."""
         tracer = obs_trace.get_tracer()
-        traced = tracer.enabled and ticket.span.enabled
-        fresh, answered = [], []
-        for batch in pending:
-            work_key = (ticket.digest, batch_store_key(batch), batch.index,
-                        batch.num_packets)
-            subscribers = self._inflight_work.get(work_key)
-            if subscribers is not None:
-                # Another request is already simulating this exact batch:
-                # subscribe to its result instead of re-enqueueing — and,
-                # if we are the more urgent requester, pull the queued
-                # item (the fused group's, if the batch rides one)
-                # forward so the shared batch does not keep the lazier
-                # request's queue position.
-                subscribers.append((ticket, batch))
-                ticket._note(batch, "shared")
-                self.shared_batches += 1
-                if traced:
-                    self._open_batch_span(ticket, batch, work_key, "shared")
-                self._item_seq += 1
-                self.fleet.promote(
-                    self._group_of.get(work_key, work_key),
-                    (ticket.request.priority, ticket.deadline_at,
-                     ticket.seq, self._item_seq))
-                continue
-            if self.leases is not None:
-                waiters = self._lease_waits.get(work_key)
-                if waiters is None and not self.leases.acquire(
-                        work_key[0], work_key[1], work_key[2]):
-                    # Another replica holds this batch's lease: park it
-                    # and poll the shared store for the winner's result
-                    # instead of simulating it a second time.
-                    waiters = self._lease_waits[work_key] = []
-                if waiters is not None:
-                    waiters.append((ticket, batch))
-                    ticket._note(batch, "leased")
-                    self.lease_waited_batches += 1
-                    if traced:
-                        self._open_batch_span(ticket, batch, work_key,
-                                              "lease-parked")
-                    continue
-                # We won the lease — but the previous holder may have
-                # appended its result and released between our round's
-                # store check and the acquire.  Probe once more before
-                # paying for a simulation (the same double-check
-                # ``_poll_leases`` performs when a parked lease frees).
-                cached = self._views[ticket.digest].peek(
-                    work_key[1], work_key[2], work_key[3])
-                if cached is not None:
-                    self._release_lease(work_key)
-                    ticket._note(batch, "cached")
-                    self.cached_batches += 1
-                    if traced:
-                        tracer.event("batch", ticket.span, time.time(), 0.0,
-                                     {"source": "cached", "lease": "won",
-                                      "point": batch.point.index,
-                                      "batch": batch.index})
-                    answered.append((ticket, batch, cached))
-                    continue
-            fresh.append((work_key, batch))
-        if not fresh:
-            self._fold_answered(answered)
-            return
-        groups, singles = [], [batch for _, batch in fresh]
-        if ticket.runner is run_link_ber_batch:
-            groups, singles = plan_fused_round(singles)
-        key_of = {(batch.point.index, batch.index): work_key
-                  for work_key, batch in fresh}
-        for batch in singles:
-            work_key = key_of[(batch.point.index, batch.index)]
-            self._inflight_work[work_key] = [(ticket, batch)]
-            ticket._note(batch, "simulated")
-            self._item_seq += 1
-            self.simulated_batches += 1
+        for item in items:
+            ticket = item.owner
             trace_ctx = None
-            if traced:
-                trace_ctx = self._open_batch_span(
-                    ticket, batch, work_key, "simulated").context()
-            self.fleet.submit(
-                work_key, ticket.runner, batch,
-                priority=(ticket.request.priority, ticket.deadline_at,
-                          ticket.seq, self._item_seq),
-                trace=trace_ctx,
-            )
-            self._dispatched_at[work_key] = time.time()
-        for group in groups:
-            self._group_seq += 1
-            group_key = ("fused", ticket.digest, self._group_seq)
-            members = []
-            for batch in group.batches:
-                work_key = key_of[(batch.point.index, batch.index)]
-                self._inflight_work[work_key] = [(ticket, batch)]
-                self._group_of[work_key] = group_key
-                ticket._note(batch, "simulated")
-                if traced:
-                    self._open_batch_span(ticket, batch, work_key,
-                                          "simulated")
-                members.append((work_key, batch))
-            self._group_members[group_key] = members
-            self._item_seq += 1
-            self.simulated_batches += len(members)
-            group_ctx = None
-            if traced:
-                # One fused fleet item simulates many batches: the
-                # worker's ``simulate`` span hangs off this group span,
-                # next to the per-member batch spans.
-                group_span = ticket.span.child("fused",
-                                               batches=len(members))
-                self._group_spans[group_key] = group_span
-                group_ctx = group_span.context()
-            self.fleet.submit(
-                group_key, FusedBatchRunner(ticket.runner), group,
-                priority=(ticket.request.priority, ticket.deadline_at,
-                          ticket.seq, self._item_seq),
-                trace=group_ctx,
-            )
-            self._dispatched_at[group_key] = time.time()
-        self._fold_answered(answered)
+            if tracer.enabled and ticket.span.enabled:
+                if item.size > 1:
+                    # One fused item simulates many batches: the worker's
+                    # ``simulate`` span hangs off this group span, next
+                    # to the per-member batch spans.
+                    span = self._group_spans[item.key] = ticket.span.child(
+                        "fused", batches=item.size)
+                else:
+                    span = ticket.batch_spans.get(item.key)
+                trace_ctx = span.context() if span is not None else None
+            self.fleet.submit(item.key, item.runner, item.payload,
+                              priority=self._priority(ticket),
+                              trace=trace_ctx)
+            self._dispatched_at[item.key] = time.time()
 
-    def _fold_answered(self, answered):
-        """Fold results that a freshly-won lease found already stored.
-
-        Deferred until after the round's fleet submissions: folding the
-        round's last outstanding batch re-enters :meth:`_advance`, which
-        must not happen while sibling batches are still being routed.
-        """
-        for ticket, batch, result in answered:
-            self._fold([(ticket, batch)], result)
-
-    def _on_result(self, work_key, result):
-        started = self._dispatched_at.pop(work_key, None)
-        if started is not None:
+    def _on_result(self, item_key, result):
+        """Land one fleet item's result and deliver it (lock held)."""
+        started = self._dispatched_at.pop(item_key, None)
+        landed = self.resolver.complete(item_key, result)
+        if started is not None and landed:
             # Feed the Retry-After estimator: per-batch wall-clock (a
             # fused item's elapsed spreads over its member batches).
-            group = self._group_members.get(work_key)
-            width = len(group) if group else 1
-            per_batch = (time.time() - started) / width
+            per_batch = (time.time() - started) / len(landed)
             self._item_seconds = (
                 per_batch if self._item_seconds is None
                 else 0.7 * self._item_seconds + 0.3 * per_batch)
-            for _ in range(width):
+            for _ in landed:
                 self._h_simulate.observe(per_batch)
-        group_span = self._group_spans.pop(work_key, None)
+        group_span = self._group_spans.pop(item_key, None)
         if group_span is not None:
             group_span.end()
-        members = self._group_members.pop(work_key, None)
-        if members is not None:
-            member_results = (result.get("results")
-                              if isinstance(result, dict) else None)
-            if member_results is None or len(member_results) != len(members):
-                # The whole fused item failed before the runner's
-                # per-member fallback could slot errors (e.g. the worker
-                # died past its retries): the error applies to every
-                # member.
-                member_results = [result] * len(members)
-            for (member_key, _batch), member_result in zip(members,
-                                                           member_results):
-                self._group_of.pop(member_key, None)
-                self._deliver(member_key, member_result)
-            return
-        self._deliver(work_key, result)
-
-    def _deliver(self, work_key, result):
-        subscribers = self._inflight_work.pop(work_key, None)
-        if subscribers is None:
-            return  # stale (e.g. the fleet flushed after a shutdown)
-        digest, point_key, batch_index, num_packets = work_key
-        if not ("error" in result and "errors" not in result):
-            # Persist before delivery: a batch is simulated once, ever.
-            # Best-effort — an unstorable result (a custom runner leaking
-            # tuple extras, a full disk) must not take the pump thread
-            # down with it; the batch is simply served uncached.
-            put_ts, put_t0 = time.time(), time.perf_counter()
-            try:
-                self._views[digest].put(point_key, batch_index, num_packets,
-                                        result)
-            except Exception:
+        tracer = obs_trace.get_tracer()
+        for work in landed:
+            if work.put_s is not None:
+                self._h_store_put.observe(work.put_s)
+                span = work.subscribers[0][0].batch_spans.get(work.key) \
+                    if work.subscribers else None
+                if tracer.enabled and span is not None:
+                    tracer.event("store", span, work.put_ts, work.put_s)
+            if work.put_error is not None:
+                # An unstorable result (a custom runner leaking tuple
+                # extras, a full disk) must not take the pump thread
+                # down with it: the batch is simply served uncached.
                 _logger.warning(
-                    "could not persist batch %r of namespace %s; serving it "
-                    "uncached", (point_key, batch_index), digest[:16],
-                    exc_info=True)
-            put_dur = time.perf_counter() - put_t0
-            self._h_store_put.observe(put_dur)
-            tracer = obs_trace.get_tracer()
-            if tracer.enabled:
-                spans = self._batch_spans.get(work_key)
-                if spans:
-                    tracer.event("store", next(iter(spans.values())),
-                                 put_ts, put_dur)
-        # Release the batch's cross-replica lease only *after* the store
-        # put: a waiting replica that sees the lease free re-checks the
-        # store and finds the result.  (An error result is never
-        # persisted, so releasing hands the batch to the waiter, which
-        # re-simulates and hits the same deterministic error.)
-        self._release_lease(work_key)
-        self._fold(subscribers, result, work_key)
+                    "could not persist batch %r of namespace %s; serving "
+                    "it uncached", work.key[1:3], work.key[0][:16],
+                    exc_info=work.put_error)
+            self._fold(work)
 
-    def _release_lease(self, work_key):
-        if self.leases is not None:
-            self.leases.release(work_key[0], work_key[1], work_key[2])
-
-    def _fold(self, subscribers, result, work_key=None):
-        """Fold one batch result into every subscribed ticket (lock held).
-
-        ``work_key`` (when the result resolves in-flight work) closes
-        each subscriber's live batch span as its delivery lands.
-        """
-        spans = self._batch_spans.pop(work_key, None) \
-            if work_key is not None else None
-        for ticket, batch in subscribers:
-            span = spans.pop(ticket.key, None) if spans else None
+    def _fold(self, work):
+        """Fold one landed batch into every subscribed ticket (lock held),
+        closing each subscriber's live batch span as its delivery lands."""
+        for ticket, batch in work.subscribers:
             if ticket.done.is_set():
-                if span is not None:
-                    span.end(outcome="orphaned")
-                continue
+                continue  # failed while folding an earlier batch
+            span = ticket.batch_spans.pop(work.key, None)
             # A fault folding one ticket's result in (e.g. a malformed
             # runner result dict) fails that ticket alone — the service
             # and its other requests keep running.
             try:
                 fold_t0 = time.perf_counter()
-                ticket.trajectory.consume(batch, result)
+                ticket.trajectory.consume(batch, work.result)
                 self._h_deliver.observe(time.perf_counter() - fold_t0)
-                self.delivered_batches += 1
+                self._batches["delivered"].inc()
                 if span is not None:
                     span.end()
                 ticket._emit_new_rows()
@@ -1148,82 +841,31 @@ class CharacterisationBroker:
                                 ticket.key[:16], batch.label(), exc_info=True)
                 if span is not None:
                     span.end(outcome="failed")
-                ticket._fail("internal error processing %s: %s"
+                self._retire(ticket, "failed",
+                             "internal error processing %s: %s"
                              % (batch.label(), exc))
-                self._tickets.pop(ticket.key, None)
-                self.failed_requests += 1
-        if spans:
-            # Subscribers that vanished between span creation and
-            # delivery (a released ticket) still get their spans closed.
-            for span in spans.values():
-                span.end(outcome="orphaned")
 
-    def _poll_leases(self, now=None):
-        """Advance lease-parked batches (lock held; throttled).
-
-        For every parked work key, in order: (1) probe the store — the
-        winning replica releases its lease only after its result is
-        appended, so a hit answers every waiter; (2) otherwise try to
-        take the lease — success means the previous holder crashed,
-        cancelled, or hit an error (error results are never persisted),
-        so after one more store check the batch is dispatched locally.
-        A still-held lease leaves the batch parked for the next poll.
-        """
-        now = time.monotonic() if now is None else now
+    def _poll_parked(self):
+        """Advance lease-parked batches, at most once per ``lease_poll_s``
+        (lock held): answered ones fold in, reclaimed ones run here."""
+        now = time.monotonic()
         if now - self._lease_poll_at < self.lease_poll_s:
             return
         self._lease_poll_at = now
-        self.leases.refresh()
-        for work_key, subscribers in list(self._lease_waits.items()):
-            digest, point_key, batch_index, num_packets = work_key
-            view = self._views.get(digest)
-            subscribers = [entry for entry in subscribers
-                           if not entry[0].done.is_set()]
-            if view is None or not subscribers:
-                self._lease_waits.pop(work_key, None)
-                continue
-            result = view.peek(point_key, batch_index, num_packets)
-            if result is None and self.leases.acquire(digest, point_key,
-                                                      batch_index):
-                # The lease came free with no result: re-check the store
-                # once (the winner may have appended and released between
-                # our peek and the acquire) before simulating ourselves.
-                result = view.peek(point_key, batch_index, num_packets)
-                if result is None:
-                    self._lease_waits.pop(work_key, None)
-                    self._inflight_work[work_key] = subscribers
-                    ticket, batch = subscribers[0]
-                    self._item_seq += 1
-                    self.simulated_batches += 1
-                    self.lease_reclaimed_batches += 1
-                    trace_ctx = None
-                    spans = self._batch_spans.get(work_key)
-                    if spans:
-                        for span in spans.values():
-                            span.annotate(lease="reclaimed")
-                        anchor = spans.get(ticket.key) \
-                            or next(iter(spans.values()))
-                        trace_ctx = anchor.context()
-                    self.fleet.submit(
-                        work_key, ticket.runner, batch,
-                        priority=(ticket.request.priority, ticket.deadline_at,
-                                  ticket.seq, self._item_seq),
-                        trace=trace_ctx,
-                    )
-                    self._dispatched_at[work_key] = time.time()
-                    continue
-                self._release_lease(work_key)
-            if result is not None:
-                self._lease_waits.pop(work_key, None)
-                self.lease_answered_batches += len(subscribers)
-                self._fold(subscribers, result, work_key)
+        landed, items = self.resolver.poll_parked()
+        for item in items:
+            self._batches["simulated"].inc()
+            self._lease_outcomes["reclaimed"].inc()
+            for owner, _ in self.resolver.inflight[item.key].subscribers:
+                span = owner.batch_spans.get(item.key)
+                if span is not None:
+                    span.annotate(lease="reclaimed")
+        self._submit(items)
+        for work in landed:
+            self._lease_outcomes["answered"].inc(len(work.subscribers))
+            self._fold(work)
 
     # ------------------------------------------------------------------ #
-    @property
-    def total_simulated_batches(self):
-        """Work items ever enqueued to the fleet — the dedup denominator."""
-        return self.simulated_batches
-
     def requests(self):
         """Progress snapshots of every in-flight request."""
         with self._lock:
@@ -1233,15 +875,15 @@ class CharacterisationBroker:
         with self._lock:
             return {
                 "in_flight_requests": len(self._tickets),
-                "completed_requests": self.completed_requests,
-                "failed_requests": self.failed_requests,
-                "cancelled_requests": self.cancelled_requests,
-                "simulated_batches": self.simulated_batches,
-                "inflight_batches": len(self._inflight_work),
-                "lease_waiting_batches": len(self._lease_waits),
+                "completed_requests": self._requests["completed"].value,
+                "failed_requests": self._requests["failed"].value,
+                "cancelled_requests": self._requests["cancelled"].value,
+                "simulated_batches": self._batches["simulated"].value,
+                "inflight_batches": len(self.resolver.inflight),
+                "lease_waiting_batches": len(self.resolver.parked),
                 "admission_open": self.admission_open,
-                "rejected_saturated": self.rejected_saturated,
-                "rejected_quota": self.rejected_quota,
+                "rejected_saturated": self._rejected["saturated"].value,
+                "rejected_quota": self._rejected["quota"].value,
                 "namespaces": sorted(self._views),
                 "fleet": self.fleet.stats(),
             }
@@ -1258,7 +900,8 @@ class CharacterisationBroker:
         and cross-replica lease counters, present with a stable shape
         even when the replica runs standalone.  Served by
         ``GET /v1/metrics``; keys are append-only across PRs so scrapers
-        can rely on them.
+        can rely on them.  The numbers are read from the broker's
+        counters, the same ones the Prometheus exposition renders.
 
         ``extras`` maps additional top-level keys to zero-argument
         suppliers evaluated **inside the broker lock**, so callers (the
@@ -1295,26 +938,26 @@ class CharacterisationBroker:
                     "open": self.admission_open,
                     "max_inflight_batches": self.max_inflight_batches,
                     "max_requests": self.max_requests,
-                    "rejected_saturated": self.rejected_saturated,
-                    "rejected_quota": self.rejected_quota,
+                    "rejected_saturated": self._rejected["saturated"].value,
+                    "rejected_quota": self._rejected["quota"].value,
                     "retry_after_s": round(self._retry_after_s(), 3),
                     "quota": quota,
                 },
                 "requests": {
                     "in_flight": len(self._tickets),
-                    "completed": self.completed_requests,
-                    "failed": self.failed_requests,
-                    "cancelled": self.cancelled_requests,
-                    "admitted": self.admitted_requests,
+                    "completed": self._requests["completed"].value,
+                    "failed": self._requests["failed"].value,
+                    "cancelled": self._requests["cancelled"].value,
+                    "admitted": self._requests["admitted"].value,
                 },
                 "batches": {
-                    "inflight": len(self._inflight_work),
-                    "simulated": self.simulated_batches,
-                    "cached": self.cached_batches,
-                    "shared": self.shared_batches,
-                    "released": self.released_batches,
-                    "leased": self.lease_waited_batches,
-                    "delivered": self.delivered_batches,
+                    "inflight": len(self.resolver.inflight),
+                    "simulated": self._batches["simulated"].value,
+                    "cached": self._batches["cached"].value,
+                    "shared": self._batches["shared"].value,
+                    "released": self._batches["released"].value,
+                    "leased": self._batches["lease-parked"].value,
+                    "delivered": self._batches["delivered"].value,
                 },
                 "fleet": self.fleet.stats(),
                 "stores": stores,
@@ -1334,20 +977,24 @@ class CharacterisationBroker:
             lease_stats.update(self.leases.stats())
         lease_stats.update({
             "enabled": self.leases is not None,
-            "waiting": len(self._lease_waits),
-            "waited": self.lease_waited_batches,
-            "answered": self.lease_answered_batches,
-            "reclaimed": self.lease_reclaimed_batches,
+            "waiting": len(self.resolver.parked),
+            "waited": self._batches["lease-parked"].value,
+            "answered": self._lease_outcomes["answered"].value,
+            "reclaimed": self._lease_outcomes["reclaimed"].value,
         })
-        remote = self.fleet.remote_stats() if hasattr(
-            self.fleet, "remote_stats") else {
-                "attached": {}, "attached_total": 0, "detached_total": 0,
-                "completed": 0, "requeued": 0}
-        return {"replica": lease_stats["owner"], "remote_workers": remote,
+        return {"replica": lease_stats["owner"],
+                "remote_workers": self.fleet.remote_stats(),
                 "leases": lease_stats}
 
     def __repr__(self):
         return ("CharacterisationBroker(in_flight=%d, completed=%d, "
                 "simulated_batches=%d)"
-                % (len(self._tickets), self.completed_requests,
-                   self.simulated_batches))
+                % (len(self._tickets), self._requests["completed"].value,
+                   self._batches["simulated"].value))
+
+
+def _children(family, *values):
+    """Every child of a one-label counter family, created up front so
+    each renders (at zero) from the first scrape on."""
+    (label,) = family.labelnames
+    return {value: family.labels(**{label: value}) for value in values}

@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.adaptive import StopRule
+from repro.analysis.adaptive import StopRule, run_link_ber_batch
 from repro.analysis.scenario import Experiment, Scenario
 from repro.analysis.store import ResultStore, StoreError, StoreView
 from repro.analysis.sweep import SweepExecutor, SweepSpec
@@ -156,6 +156,11 @@ def experiment(stop, store=None):
     )
 
 
+def pair_runner(batch):
+    """The link runner plus an extra the store cannot round-trip."""
+    return dict(run_link_ber_batch(batch), pair=(1, 2))
+
+
 class TestExperimentResume:
     def test_cold_run_with_store_matches_storeless_run(self, tmp_path):
         plain = experiment(LOOSE).run(SweepExecutor("serial"))
@@ -228,3 +233,15 @@ class TestExperimentResume:
         assert warm_rows == cold_rows
         assert all(row["stop_reason"] == "budget" for row in warm_rows)
         assert sum(row["packets"] for row in warm_rows) <= 24
+
+    def test_unstorable_result_raises_naming_the_key(self, tmp_path):
+        # Experiment's put-failure policy: the StoreError propagates, so
+        # a batch run cannot be silently left uncached.
+        unstorable = Experiment(
+            scenario=SCENARIO,
+            sweep=SweepSpec({"rate_mbps": [24], "snr_db": [4.0, 8.0]},
+                            constants={"batch_size": 4}, seed=23),
+            stop=LOOSE, batch_packets=4, store=ResultStore(tmp_path),
+            runner=pair_runner)
+        with pytest.raises(StoreError, match="'pair'"):
+            unstorable.run(SweepExecutor("serial"))

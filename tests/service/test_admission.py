@@ -91,7 +91,7 @@ class TestSaturation:
             with pytest.raises(ServiceSaturated) as excinfo:
                 broker.submit(request([6.0]))
             assert excinfo.value.retry_after_s >= 1.0
-            assert broker.rejected_saturated == 1
+            assert broker.status()["rejected_saturated"] == 1
             # An identical ask coalesces for free even at saturation.
             assert broker.submit(request([4.0])) is held
             # After the in-flight work drains, the retry succeeds and its
@@ -140,7 +140,7 @@ class TestClientQuota:
             with pytest.raises(ServiceSaturated, match="alice") as excinfo:
                 broker.submit(request([5.0, 7.0], client_id="alice"))
             assert excinfo.value.retry_after_s > 0
-            assert broker.rejected_quota == 1
+            assert broker.status()["rejected_quota"] == 1
             # Bob has his own bucket and is admitted immediately.
             second = broker.submit(request([5.0, 7.0], client_id="bob"))
             pump_until_done(broker, [first, second])
@@ -154,7 +154,7 @@ class TestClientQuota:
                 quota=(1000.0, 8.0))  # tuple form coerces to ClientQuota
             with pytest.raises(ServiceError, match="never"):
                 broker.submit(request([4.0, 6.0], client_id="alice"))
-            assert broker.rejected_quota == 1
+            assert broker.status()["rejected_quota"] == 1
             # A budget below the burst brings the same grid under quota.
             affordable = broker.submit(request([4.0, 6.0], budget=8,
                                                client_id="alice"))
@@ -178,9 +178,9 @@ class TestCancellation:
 
             assert broker.cancel(doomed.key) is True
             # The ledger shows exactly the exclusive queued batch freed.
-            assert broker.released_batches == 1
+            assert broker.metrics()["batches"]["released"] == 1
             assert fleet.stats()["cancelled"] == 1
-            assert broker.cancelled_requests == 1
+            assert broker.status()["cancelled_requests"] == 1
             assert doomed.cancelled and doomed.done.is_set()
             with pytest.raises(ServiceError, match="cancelled by client"):
                 doomed.result()
@@ -211,7 +211,7 @@ class TestCancellation:
             pump_until_done(broker, [ticket])
         assert ticket.result() == request([4.0]).experiment(
             runner=gated(gate)).run(SweepExecutor("serial"))
-        assert broker.cancelled_requests == 0
+        assert broker.status()["cancelled_requests"] == 0
 
     def test_last_interest_unit_releases_for_real(self, tmp_path):
         gate = threading.Event()
@@ -223,7 +223,7 @@ class TestCancellation:
             assert ticket.cancel() is True
             assert ticket.cancel() is True      # last unit: released
             assert ticket.cancelled
-            assert broker.cancelled_requests == 1
+            assert broker.status()["cancelled_requests"] == 1
             gate.set()
 
     def test_fused_group_is_withdrawn_only_when_fully_orphaned(
@@ -248,7 +248,7 @@ class TestCancellation:
             assert dispatched == 2
 
             assert broker.cancel(ticket.key) is True
-            assert broker.released_batches == dispatched
+            assert broker.metrics()["batches"]["released"] == dispatched
             assert broker.status()["inflight_batches"] == 0
             assert fleet.stats()["cancelled"] >= 1
             blocker_gate.set()

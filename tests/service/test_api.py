@@ -332,7 +332,7 @@ class TestHTTPHardening:
                 response.close()
                 conn.close()
                 _wait_until(
-                    lambda: running.broker.cancelled_requests == 1,
+                    lambda: running.broker.status()["cancelled_requests"] == 1,
                     message="disconnect was never routed into cancel")
                 assert running.status()["in_flight_requests"] == 0
                 gate.set()
@@ -363,9 +363,9 @@ class TestHTTPHardening:
                 assert running.status()["in_flight_requests"] == 1
                 gate.set()
                 _wait_until(
-                    lambda: running.broker.completed_requests == 1,
+                    lambda: running.broker.status()["completed_requests"] == 1,
                     message="detached request did not run to completion")
-                assert running.broker.cancelled_requests == 0
+                assert running.broker.status()["cancelled_requests"] == 0
             finally:
                 server.shutdown()
                 server.server_close()
@@ -392,8 +392,8 @@ class TestHTTPHardening:
                 # The fault was at the JSON layer only: the broker side
                 # of the request had already completed normally, and the
                 # handler's post-fault cancel was a clean no-op.
-                assert running.broker.completed_requests == 1
-                assert running.broker.cancelled_requests == 0
+                assert running.broker.status()["completed_requests"] == 1
+                assert running.broker.status()["cancelled_requests"] == 0
             finally:
                 server.shutdown()
                 server.server_close()

@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis.adaptive import StopRule, run_link_ber_batch
 from repro.analysis.scenario import Scenario
-from repro.analysis.store import ResultStore
+from repro.analysis.store import ResultStore, read_sidecar_stats
 from repro.analysis.sweep import SweepExecutor
 from repro.service.broker import CharacterisationBroker, ServiceError
 from repro.service.fleet import WorkerFleet
@@ -75,7 +75,7 @@ class TestDedupAcceptance:
         # batch of the shared points ran exactly once.
         serial_batches = (sum(row["batches"] for row in rows_a)
                           + sum(row["batches"] for row in rows_b))
-        assert broker.total_simulated_batches < serial_batches
+        assert broker.status()["simulated_batches"] < serial_batches
         # Where the saving came from is accounted per ticket: a shared
         # batch reached B through the in-flight merge or the store, never
         # through a second simulation.
@@ -93,7 +93,7 @@ class TestDedupAcceptance:
         pump_until_done(broker, [ticket_a, ticket_b])
         total = (sum(r["batches"] for r in ticket_a.result())
                  + sum(r["batches"] for r in ticket_b.result()))
-        assert broker.total_simulated_batches == total
+        assert broker.status()["simulated_batches"] == total
 
 
 class TestCoalescing:
@@ -159,6 +159,61 @@ class TestStoreIntegration:
         experiment = req.experiment(store=broker.store)
         assert experiment.run(SweepExecutor("serial")) == ticket.result()
         assert experiment.last_store_stats["misses"] == 0
+
+    def test_cancelled_request_flushes_its_store_usage(self, tmp_path):
+        # ``repro-store gc`` ages namespaces on the usage sidecar, so a
+        # request's lookups must reach it however the request ends.
+        gate = threading.Event()
+
+        def gated_runner(batch):
+            gate.wait(30.0)
+            return dict(run_link_ber_batch(batch))
+
+        one_batch = StopRule(max_packets=4)
+        alone = request([4.0], stop=one_batch)
+        wider = request([4.0, 6.0], stop=one_batch)
+        with WorkerFleet(workers=1, backend="thread") as fleet:
+            broker = CharacterisationBroker(ResultStore(tmp_path), fleet,
+                                            runner=gated_runner)
+            gate.set()
+            first = broker.submit(alone)
+            pump_until_done(broker, [first])
+            gate.clear()
+            # 4.0 is a store hit; 6.0 misses and parks at the gate.
+            second = broker.submit(wider)
+            assert second.progress()["batches_cached"] == 1
+            assert broker.cancel(second.key) is True
+            broker.shutdown()
+            gate.set()
+        view = broker.store.view(alone.store_digest(runner=gated_runner))
+        stats = read_sidecar_stats(view.path)
+        assert (stats["hits"], stats["misses"], stats["uses"]) == (1, 2, 2)
+
+    def test_unstorable_result_is_served_uncached(self, tmp_path):
+        # The service's put-failure policy: log, serve the rows, keep
+        # pumping; the batches stay unstored, so a repeat simulates them
+        # again.
+        def pair_runner(batch):
+            return dict(run_link_ber_batch(batch), pair=(1, 2))
+
+        req = request([4.0, 6.0])
+        with WorkerFleet(workers=2, backend="thread") as fleet:
+            broker = CharacterisationBroker(ResultStore(tmp_path), fleet,
+                                            runner=pair_runner)
+            first = broker.submit(req)
+            pump_until_done(broker, [first])
+            second = broker.submit(req)
+            assert second is not first
+            pump_until_done(broker, [second])
+        rows = first.result()
+        assert rows == req.experiment(runner=pair_runner).run(
+            SweepExecutor("serial"))
+        assert second.result() == rows
+        batches = sum(row["batches"] for row in rows)
+        assert second.progress()["batches_simulated"] == batches
+        assert broker.status()["simulated_batches"] == 2 * batches
+        view = broker.store.view(req.store_digest(runner=pair_runner))
+        assert len(view) == 0
 
 
 class TestScheduling:

@@ -18,7 +18,8 @@ import time
 import pytest
 
 import repro
-from repro.analysis.adaptive import StopRule, batch_store_key
+from repro.analysis.adaptive import (StopRule, batch_store_key,
+                                     run_link_ber_batch)
 from repro.analysis.scenario import Scenario
 from repro.analysis.store import ResultStore
 from repro.analysis.sweep import SweepExecutor
@@ -91,6 +92,11 @@ def _wait_until(predicate, timeout=30.0, message="condition not reached"):
     while not predicate():
         assert time.time() < deadline, message
         time.sleep(0.05)
+
+
+def _lease_ledger(broker):
+    """The broker's ``cluster.leases`` metrics section."""
+    return broker.metrics()["cluster"]["leases"]
 
 
 def _subprocess_env():
@@ -236,15 +242,15 @@ class TestBrokerLeases:
                 for index in range(8):
                     assert peer.acquire(digest, point_key, index)
             ticket = service.submit(req)
-            _wait_until(lambda: service.broker.lease_waited_batches >= 1,
+            _wait_until(lambda: _lease_ledger(service.broker)["waited"] >= 1,
                         message="the held batch never parked")
             serial = req.experiment(store=ResultStore(str(shared))).run(
                 SweepExecutor("serial"))
             rows = ticket.result(timeout=60)
             assert rows == serial
-            assert service.broker.total_simulated_batches == 0
-            assert service.broker.lease_answered_batches >= 1
-            assert service.broker.lease_reclaimed_batches == 0
+            assert service.broker.status()["simulated_batches"] == 0
+            assert _lease_ledger(service.broker)["answered"] >= 1
+            assert _lease_ledger(service.broker)["reclaimed"] == 0
 
     def test_stale_lease_is_reclaimed_and_simulated_locally(self, tmp_path):
         req = request([4.0])
@@ -254,13 +260,13 @@ class TestBrokerLeases:
             (digest, point_key, batch_index) = first_round_keys(req)[0]
             assert peer.acquire(digest, point_key, batch_index)
             ticket = service.submit(req)
-            _wait_until(lambda: service.broker.lease_waited_batches >= 1,
+            _wait_until(lambda: _lease_ledger(service.broker)["waited"] >= 1,
                         message="the held batch never parked")
             # The peer never refreshes: past its TTL the survivor
             # reclaims the lease and simulates the batch itself.
             rows = ticket.result(timeout=60)
             assert rows == req.experiment().run(SweepExecutor("serial"))
-            assert service.broker.lease_reclaimed_batches >= 1
+            assert _lease_ledger(service.broker)["reclaimed"] >= 1
             assert service.leases.stats()["reclaimed_stale"] >= 1
 
     def test_killed_replica_lease_is_recovered(self, tmp_path):
@@ -293,7 +299,7 @@ class TestBrokerLeases:
                 rows = ticket.result(timeout=60)
                 assert rows == req.experiment().run(SweepExecutor("serial"))
                 stats = service.leases.stats()
-                assert (service.broker.lease_reclaimed_batches >= 1
+                assert (_lease_ledger(service.broker)["reclaimed"] >= 1
                         or stats["reclaimed_stale"] >= 1)
                 assert stats["held"] == 0  # everything released on delivery
         finally:
@@ -309,7 +315,7 @@ class TestBrokerLeases:
             digest, point_key, batch_index = first_round_keys(req)[0]
             assert peer.acquire(digest, point_key, batch_index)
             ticket = service.submit(req)
-            _wait_until(lambda: service.broker.lease_waited_batches >= 1,
+            _wait_until(lambda: _lease_ledger(service.broker)["waited"] >= 1,
                         message="the held batch never parked")
             assert service.cancel(ticket.key) is True
             _wait_until(
@@ -329,7 +335,7 @@ class TestBrokerLeases:
         with Service(str(tmp_path / "union"), workers=2) as reference:
             reference.submit(request(SNRS_A)).result(timeout=120)
             reference.submit(request(SNRS_B)).result(timeout=120)
-            union = reference.broker.total_simulated_batches
+            union = reference.broker.status()["simulated_batches"]
         serial_a = request(SNRS_A).experiment().run(SweepExecutor("serial"))
         serial_b = request(SNRS_B).experiment().run(SweepExecutor("serial"))
         with self._service(shared, "r1") as r1, \
@@ -338,16 +344,56 @@ class TestBrokerLeases:
             ticket_b = r2.submit(request(SNRS_B))
             assert ticket_a.result(timeout=120) == serial_a
             assert ticket_b.result(timeout=120) == serial_b
-            simulated = (r1.broker.total_simulated_batches
-                         + r2.broker.total_simulated_batches)
+            simulated = (r1.broker.status()["simulated_batches"]
+                         + r2.broker.status()["simulated_batches"])
             assert simulated == union
             # Every parked batch resolved: answered by the peer's store
             # append or reclaimed after its lease lapsed — none linger.
             for broker in (r1.broker, r2.broker):
-                assert (broker.lease_answered_batches
-                        + broker.lease_reclaimed_batches
-                        == broker.lease_waited_batches)
+                leases = _lease_ledger(broker)
+                assert (leases["answered"] + leases["reclaimed"]
+                        == leases["waited"])
                 assert broker.status()["lease_waiting_batches"] == 0
+
+    def test_results_persist_before_their_lease_is_released(
+            self, tmp_path, monkeypatch):
+        # Wrap the real release: a successful batch's record must already
+        # be visible when its lease goes, and an error result (never
+        # persisted) must still release its lease.  8.0 is shared by both
+        # windows, so the replicas contend for its failing batch.
+        def flaky_runner(batch):
+            if batch.point.params["snr_db"] == 8.0:
+                raise RuntimeError("bad operating point")
+            return dict(run_link_ber_batch(batch))
+
+        shared = tmp_path / "store"
+        store = ResultStore(str(shared))
+        snr_of = {
+            tuple(int(w) for w in point.seed_sequence.spawn_key):
+                point.coordinates["snr_db"]
+            for snrs in (SNRS_A, SNRS_B)
+            for point in request(snrs).experiment().spec()
+        }
+        releases = []
+        real_release = LeaseManager.release
+
+        def checked_release(self, digest, point_key, batch_index):
+            record = store.view(digest).peek(point_key, batch_index, 4)
+            releases.append((snr_of[tuple(point_key)], record is not None))
+            return real_release(self, digest, point_key, batch_index)
+
+        monkeypatch.setattr(LeaseManager, "release", checked_release)
+        with self._service(shared, "r1", runner=flaky_runner) as r1, \
+                self._service(shared, "r2", runner=flaky_runner) as r2:
+            ticket_a = r1.submit(request(SNRS_A))
+            ticket_b = r2.submit(request(SNRS_B))
+            rows = ticket_a.result(timeout=120) + ticket_b.result(timeout=120)
+        for row in rows:
+            assert (row["stop_reason"] == "error") == (row["snr_db"] == 8.0)
+        stored = [visible for snr, visible in releases if snr != 8.0]
+        failed = [visible for snr, visible in releases if snr == 8.0]
+        assert stored and all(stored)
+        assert failed and not any(failed)
 
     def test_metrics_cluster_document_shape(self, tmp_path):
         with self._service(tmp_path / "store", "r1") as service:
@@ -581,7 +627,7 @@ class TestMultiReplicaAcceptance:
     def _simulated_alone(self, root, req):
         with Service(str(root), workers=2) as service:
             service.submit(req).result(timeout=120)
-            return service.broker.total_simulated_batches
+            return service.broker.status()["simulated_batches"]
 
     def test_two_daemons_one_store_overlapping_streams(self, tmp_path):
         serial_a = request(SNRS_A).experiment().run(SweepExecutor("serial"))
@@ -593,7 +639,7 @@ class TestMultiReplicaAcceptance:
         with Service(str(tmp_path / "union"), workers=2) as reference:
             reference.submit(request(SNRS_A)).result(timeout=120)
             reference.submit(request(SNRS_B)).result(timeout=120)
-            union = reference.broker.total_simulated_batches
+            union = reference.broker.status()["simulated_batches"]
 
         shared = tmp_path / "shared"
         replica_1, url_1 = self._spawn_replica(shared, "replica-1")
