@@ -74,7 +74,7 @@ def main(workers=4):
     serial_rows = experiment.run(SweepExecutor("serial"))
     serial_elapsed = time.perf_counter() - start
 
-    executor = SweepExecutor("process", max_workers=workers, chunk_size=1)
+    executor = SweepExecutor("process", max_workers=workers)
     start = time.perf_counter()
     parallel_rows = experiment.run(executor)
     parallel_elapsed = time.perf_counter() - start

@@ -59,7 +59,7 @@ depths of automation for measuring one:
 **Fixed depth** — declare the grid as a :class:`SweepSpec` and run a
 picklable point-runner over it with a :class:`SweepExecutor`.  Every point
 simulates the same packet count; rows are bit-for-bit independent of the
-backend (serial or process), worker count and chunk size, because each
+backend (serial or process), worker count and dispatch order, because each
 point's random stream is derived from the spec's master seed keyed by the
 point's axis coordinates.  ``REPRO_SWEEP_WORKERS=N`` shards any
 executor-driven sweep across ``N`` processes without changing a bit of the

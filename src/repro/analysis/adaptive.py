@@ -59,6 +59,7 @@ for the Figure-6-style link workload.
 
 import math
 import time
+import traceback
 
 import numpy as np
 
@@ -83,6 +84,26 @@ def is_error_result(result):
     its counts is an ordinary result.
     """
     return "error" in result and "errors" not in result
+
+
+def capture_result(runner, item):
+    """Run ``runner(item)``, capturing a failure in the executor's format.
+
+    Returns ``(result, None)`` — a non-dict result wrapped as
+    ``{"result": value}`` — or ``(None, detail)``, where ``detail`` is
+    the exception's one-line summary followed by its traceback.  The one
+    capture shared by the serial sweep loop and every fleet worker
+    (thread, child process or remote agent), so a work item's outcome
+    cannot depend on where it ran.
+    """
+    try:
+        result = runner(item)
+    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
+        return None, "%s: %s\n%s" % (type(exc).__name__, exc,
+                                     traceback.format_exc())
+    if not isinstance(result, dict):
+        return {"result": result}, None
+    return dict(result), None
 
 
 # ---------------------------------------------------------------------- #

@@ -22,8 +22,8 @@ embarrassingly parallel and already deterministic per seed, so a sweep can
 be sharded across worker processes without changing a single result bit.
 The design mirrors the batching contract in :mod:`repro.analysis.link`
 (results independent of the ``batch_size`` split): here, results are
-independent of the *executor* — backend, worker count, chunk size and
-dispatch order never change a row.
+independent of the *executor* — backend, worker count and dispatch order
+never change a row.
 
 Three mechanisms make that hold:
 
@@ -32,18 +32,21 @@ Three mechanisms make that hold:
     spec's master seed with a ``spawn_key`` computed from the point's axis
     coordinates — the same parent/child derivation ``SeedSequence.spawn``
     performs, but keyed by *what the point is* instead of a sequential
-    counter.  Reordering axis values, chunking the grid differently or
-    adding workers therefore cannot move a point onto a different stream,
-    and two distinct points never share one.  (For run-to-run stable seeds,
-    axis values should be primitives — numbers, strings, bools, tuples —
-    whose ``repr`` does not change between processes.)
+    counter.  Reordering axis values or adding workers therefore cannot
+    move a point onto a different stream, and two distinct points never
+    share one.  (For run-to-run stable seeds, axis values should be
+    primitives — numbers, strings, bools, tuples — whose ``repr`` does not
+    change between processes.)
 
-``chunked dispatch, ordered aggregation``
-    The process backend ships chunks of points to a
-    :class:`concurrent.futures.ProcessPoolExecutor` (the point-runner must
-    be picklable, i.e. a module-level callable) and reassembles rows by
-    point index, so the output order is the grid order no matter which
-    worker finished first.
+``one capture, ordered aggregation``
+    Both backends run every point through the same capture
+    (:func:`~repro.analysis.adaptive.capture_result`): the serial backend
+    in a plain loop, the process backend as one work item per point on a
+    :class:`~repro.service.fleet.WorkerFleet` of child processes (the
+    point-runner must be picklable, i.e. a module-level callable).  Rows
+    are reassembled by point index, so the output order is the grid order
+    no matter which worker finished first, and a point whose worker died
+    is re-run on a replacement worker with the same seed.
 
 ``per-point error capture``
     A runner exception is caught *in the worker* and reported with the
@@ -67,8 +70,6 @@ import itertools
 import json
 import math
 import os
-import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -105,7 +106,7 @@ def point_spawn_key(coordinates):
 
     A 128-bit digest of the sorted ``(axis name, value)`` pairs, returned
     as four ``uint32`` words.  Depends only on the coordinates themselves:
-    grid position, chunking and worker count cannot change it.
+    grid position, dispatch order and worker count cannot change it.
     """
     blob = b";".join(
         b"%s=%s" % (str(name).encode(), _stable_token(value))
@@ -253,11 +254,14 @@ class SweepSpec:
 # Execution
 # ---------------------------------------------------------------------- #
 class SweepError(RuntimeError):
-    """A point-runner raised; the failing operating point is attached.
+    """A point-runner failed; the failing operating point is attached.
 
     The message names the point (index and coordinates) and carries the
-    worker-formatted traceback, so a failure inside a process pool is as
-    diagnosable as one in a plain loop.
+    failure detail: the full traceback when the point ran in this
+    process (serial backend), its first line — exception type and
+    message, or the worker death — when it ran on a fleet worker
+    (process backend).  The fleet logs the full detail once, at WARNING
+    and naming the point, on the ``repro.service.fleet`` logger.
     """
 
     def __init__(self, point, detail):
@@ -268,29 +272,14 @@ class SweepError(RuntimeError):
         )
 
 
-def _normalise_result(result):
-    if not isinstance(result, dict):
-        return {"result": result}
-    return dict(result)
-
-
-def _run_points(runner, points):
-    """Run ``runner`` over points, capturing per-point failures.
-
-    Returns ``(index, error, result)`` triples.  This is the single code
-    path shared by the serial backend and every pool worker, which is what
-    makes backend equivalence exact rather than merely likely.
-    """
-    outcomes = []
+def _run_on_fleet(fleet, runner, points):
+    """One fleet item per point, keyed by point index; results in order."""
     for point in points:
-        try:
-            outcomes.append((point.index, None, _normalise_result(runner(point))))
-        except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-            detail = "%s: %s\n%s" % (
-                type(exc).__name__, exc, traceback.format_exc(),
-            )
-            outcomes.append((point.index, detail, None))
-    return outcomes
+        fleet.submit(point.index, runner, point)
+    results = {}
+    while len(results) < len(points):
+        results.update(fleet.poll(timeout=1.0))
+    return [results[point.index] for point in points]
 
 
 class SweepExecutor:
@@ -299,133 +288,111 @@ class SweepExecutor:
     Parameters
     ----------
     backend:
-        ``"serial"`` (in-process loop) or ``"process"``
-        (:class:`concurrent.futures.ProcessPoolExecutor`; the runner and
-        every axis value must be picklable).
+        ``"serial"`` (in-process loop) or ``"process"`` (the child-process
+        workers of a :class:`~repro.service.fleet.WorkerFleet`, which
+        re-run a point whose worker died; the runner and every axis value
+        must be picklable).
     max_workers:
         Process count for the ``process`` backend (default
         ``os.cpu_count()``).
-    chunk_size:
-        Points per dispatched task (default: grid split into about four
-        chunks per worker).  Affects scheduling granularity only — never
-        results.
     mp_context:
         Optional :mod:`multiprocessing` context or start-method name
         (``"fork"``, ``"spawn"``, ``"forkserver"``).
     """
 
-    def __init__(self, backend="serial", max_workers=None, chunk_size=None,
-                 mp_context=None):
+    def __init__(self, backend="serial", max_workers=None, mp_context=None):
         if backend not in ("serial", "process"):
             raise ValueError("unknown backend %r (use 'serial' or 'process')"
                              % (backend,))
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be positive")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
         self.backend = backend
         self.max_workers = max_workers
-        self.chunk_size = chunk_size
         self.mp_context = mp_context
         self._pool = None
 
     def _resolved_workers(self):
         return self.max_workers or os.cpu_count() or 1
 
-    def _make_pool(self, max_workers):
-        import multiprocessing
+    def _new_fleet(self, workers):
+        # Imported here: the serial backend must not pull in the service
+        # package, and repro.service imports this module.
+        from repro.service.fleet import WorkerFleet
 
-        context = self.mp_context
-        if isinstance(context, str):
-            context = multiprocessing.get_context(context)
-        return ProcessPoolExecutor(max_workers=max_workers, mp_context=context)
+        return WorkerFleet(workers=workers, backend="process",
+                           mp_context=self.mp_context)
 
     @contextlib.contextmanager
     def session(self):
-        """Keep one worker pool alive across several :meth:`run` calls.
+        """Keep one worker fleet alive across several :meth:`run` calls.
 
-        By default the process backend builds (and tears down) its pool
+        By default the process backend starts (and stops) its fleet
         inside every :meth:`run`, which is the right lifetime for a
         one-shot sweep but wasteful for callers that dispatch many small
-        rounds — the adaptive scheduler pays pool startup per *round*
-        otherwise.  Inside a ``session()`` the pool is created once and
-        reused; results are unaffected (the pool is pure transport).
+        rounds — the adaptive scheduler pays worker startup per *round*
+        otherwise.  Inside a ``session()`` the fleet is started once and
+        reused; results are unaffected (the fleet is pure transport).
         No-op for the serial backend, and re-entrant (a nested session
-        reuses the outer pool).
+        reuses the outer fleet).
         """
         if self.backend != "process" or self._pool is not None:
             yield self
             return
-        pool = self._make_pool(self._resolved_workers())
-        self._pool = pool
-        try:
-            yield self
-        finally:
-            self._pool = None
-            pool.shutdown()
-
-    def _chunks(self, points):
-        size = self.chunk_size
-        if size is None:
-            size = max(1, math.ceil(len(points) / (4 * self._resolved_workers())))
-        return [points[first:first + size]
-                for first in range(0, len(points), size)]
+        with self._new_fleet(self._resolved_workers()) as fleet:
+            self._pool = fleet
+            try:
+                yield self
+            finally:
+                self._pool = None
 
     def run(self, spec, runner, on_error="raise"):
         """Run ``runner`` on every point and return rows in grid order.
 
         Each row is the point's ``params`` merged with the runner's result
         mapping (non-dict results are wrapped as ``{"result": value}``).
-        ``on_error`` is ``"raise"`` (raise :class:`SweepError` for the
-        first failing point, in grid order) or ``"capture"`` (emit an
-        ``error`` row for failed points and keep going).
+        A point fails when its runner raises, when its worker died more
+        often than the fleet retries, or when its result is an error row
+        (:func:`~repro.analysis.adaptive.is_error_result`).  ``on_error``
+        is ``"raise"`` (raise :class:`SweepError` for the first failing
+        point, in grid order) or ``"capture"`` (emit an ``error`` row for
+        failed points and keep going).
         """
         if on_error not in ("raise", "capture"):
             raise ValueError("on_error must be 'raise' or 'capture'")
         points = list(spec)
         if not points:
             return []
+        # Imported here: repro.analysis.adaptive imports this module.
+        from repro.analysis.adaptive import capture_result, is_error_result
 
         if self.backend == "serial":
-            outcomes = _run_points(runner, points)
+            results = []
+            for point in points:
+                result, error = capture_result(runner, point)
+                results.append({"error": error} if error is not None
+                               else result)
+        elif self._pool is not None:
+            results = _run_on_fleet(self._pool, runner, points)
         else:
-            outcomes = self._run_process(runner, points)
+            workers = min(self._resolved_workers(), len(points))
+            with self._new_fleet(workers) as fleet:
+                results = _run_on_fleet(fleet, runner, points)
 
-        outcomes.sort(key=lambda outcome: outcome[0])
-        by_index = {point.index: point for point in points}
         rows = []
-        for index, error, result in outcomes:
-            point = by_index[index]
-            if error is not None:
+        for point, result in zip(points, results):
+            row = dict(point.params)
+            if is_error_result(result):
                 if on_error == "raise":
-                    raise SweepError(point, error)
-                row = dict(point.params)
-                row["error"] = error.splitlines()[0]
-                rows.append(row)
+                    raise SweepError(point, result["error"])
+                row["error"] = result["error"].splitlines()[0]
             else:
-                row = dict(point.params)
                 row.update(result)
-                rows.append(row)
+            rows.append(row)
         return rows
 
-    def _run_process(self, runner, points):
-        if self._pool is not None:
-            return self._collect(self._pool, runner, points)
-        workers = min(self._resolved_workers(), len(points))
-        with self._make_pool(workers) as pool:
-            return self._collect(pool, runner, points)
-
-    def _collect(self, pool, runner, points):
-        outcomes = []
-        futures = [pool.submit(_run_points, runner, chunk)
-                   for chunk in self._chunks(points)]
-        for future in futures:
-            outcomes.extend(future.result())
-        return outcomes
-
     def __repr__(self):
-        return "SweepExecutor(backend=%r, max_workers=%r, chunk_size=%r)" % (
-            self.backend, self.max_workers, self.chunk_size,
+        return "SweepExecutor(backend=%r, max_workers=%r)" % (
+            self.backend, self.max_workers,
         )
 
 

@@ -67,7 +67,7 @@ from repro.service.broker import (
     ServiceSaturated,
 )
 from repro.service.cluster import LeaseManager
-from repro.service.fleet import FleetError, RemoteWorkerHandle, WorkerFleet
+from repro.service.fleet import FleetError, WorkerFleet, WorkerHandle
 from repro.service.requests import CharacterisationRequest
 from repro.service.worker import WorkerAgent
 
@@ -77,7 +77,6 @@ __all__ = [
     "ClientQuota",
     "FleetError",
     "LeaseManager",
-    "RemoteWorkerHandle",
     "RequestTicket",
     "RetryPolicy",
     "Service",
@@ -86,6 +85,7 @@ __all__ = [
     "ServiceSaturated",
     "WorkerAgent",
     "WorkerFleet",
+    "WorkerHandle",
     "cancel_request",
     "fetch_json",
     "serve",

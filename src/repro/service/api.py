@@ -569,7 +569,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         """The streaming side of the work channel: tasks out, pings between.
 
         This handler thread *is* the attached worker's dispatcher: it
-        owns the :class:`~repro.service.fleet.RemoteWorkerHandle`, pulls
+        owns the :class:`~repro.service.fleet.WorkerHandle`, pulls
         priority-ordered items (depth-1 — the next only after the
         previous result arrived through ``_worker_result``) and writes
         each as a ``task`` event.  Quiet stretches carry ``ping``

@@ -1,44 +1,42 @@
 """A persistent worker fleet pulling batch-granular work items.
 
-The sweep layer's :class:`~repro.analysis.sweep.SweepExecutor` is built
-for one-shot runs: it is handed a whole grid, builds a pool, drains it,
-tears it down.  A long-lived service needs the opposite lifetime — the
-pool outlives any single request, and the unit of dispatch is one
-:class:`~repro.analysis.adaptive.MeasurementBatch`, so a thousand-point
-request cannot head-of-line-block a three-point one: their batches
-interleave in a single priority queue.
+A long-lived service needs a worker pool that outlives any single
+request, with one :class:`~repro.analysis.adaptive.MeasurementBatch` as
+the unit of dispatch, so a thousand-point request cannot
+head-of-line-block a three-point one: their batches interleave in a
+single priority queue.  :class:`WorkerFleet` is that pool, and the
+sweep layer's ``SweepExecutor("process")`` runs on it too, one item per
+operating point.
 
-:class:`WorkerFleet` provides that with two backends:
+One handle protocol
+-------------------
+Every worker drives the same depth-1 :class:`WorkerHandle`, so the fleet
+always knows exactly which item a worker holds, and a lost worker's item
+takes one requeue-or-fail path whatever the worker was.  All workers
+pull from the *same* heap (priorities, promotion and queued-item
+cancellation need no per-kind code) and execute items through the same
+capture.  Three kinds of worker drive a handle:
 
-``thread``
+``thread`` backend
     Worker threads in this process.  The link simulator spends most of
     its time inside numpy kernels that release the GIL, so threads give
     real parallelism without pickling, and are the default for the
     in-process service.
-``process``
-    Long-lived ``multiprocessing`` worker processes.  Each worker owns a
-    depth-1 task queue, so the parent always knows exactly which item a
-    worker holds: when a worker dies mid-batch (OOM kill, segfault, an
-    ``os._exit`` deep in native code), its item is requeued — up to
-    ``max_retries`` times — and a replacement worker is started.  Workers
-    post heartbeats over their own pipe; :meth:`heartbeats` reports each
-    worker's last-seen age.
-
-Remote workers
---------------
-Either backend can additionally be fed by **remote workers**: agents on
-other hosts that attach over the service's HTTP boundary (``python -m
-repro.service.worker --connect URL``; see :mod:`repro.service.worker`).
-:meth:`WorkerFleet.register_remote` hands the front door a
-:class:`RemoteWorkerHandle` that pulls items from the *same* priority
-heap local workers drain — so priorities, promotion and queued-item
-cancellation need no remote-specific code at all — under the process
-backend's depth-1 discipline: one outstanding item per worker, so the
-parent always knows exactly what a dead worker held.  A remote worker
-that stops heartbeating, breaks its stream or detaches mid-item has its
-item requeued through the same ``max_retries`` path as a dead process
-worker; a stale result arriving after requeue is refused (the item may
-already be re-executing elsewhere).
+``process`` backend
+    Long-lived ``multiprocessing`` child processes, each behind one
+    small driver thread that ships the handle's items down the child's
+    own pipe and forwards the child's heartbeats and results.  When a
+    child dies mid-batch (OOM kill, segfault, an ``os._exit`` deep in
+    native code), the driver reads EOF, detaches the handle — which
+    requeues the item — and starts a replacement child.
+remote workers
+    Agents on other hosts that attach over the service's HTTP boundary
+    (``python -m repro.service.worker --connect URL``), on either
+    backend.  :meth:`WorkerFleet.register_remote` hands the front door
+    the handle; its attach-stream handler thread drives it.  A remote
+    worker that stops heartbeating, breaks its stream or detaches
+    mid-item has its item requeued; a stale result arriving after
+    requeue is refused (the item may already be re-executing elsewhere).
 
 Determinism
 -----------
@@ -48,51 +46,48 @@ thread, child process or remote host), in what order, or on the
 how-many-th retry is invisible in the result, the same invariance the
 executor backends guarantee.  A runner *exception* is deterministic, so
 it is never retried: it comes back as a captured ``{"error": ...}``
-result in the executor's vocabulary.  Only worker death triggers a
-retry.
+result in the executor's vocabulary (its first line; the fleet logs the
+full traceback once, at WARNING, naming the item).  Only worker death
+triggers a retry.
 """
 
 import heapq
 import itertools
+import logging
 import os
 import queue
 import threading
 import time
-import traceback
 
+from repro.analysis.adaptive import capture_result
 from repro.obs import trace as obs_trace
 
-__all__ = ["FleetError", "RemoteWorkerHandle", "WorkerFleet"]
+__all__ = ["FleetError", "WorkerFleet", "WorkerHandle"]
+
+_logger = logging.getLogger(__name__)
 
 
 class FleetError(RuntimeError):
     """The fleet was used outside its lifecycle or lost a worker for good."""
 
 
-def _capture(runner, batch):
-    """Run one item, capturing failures in the executor's error format."""
-    try:
-        return dict(runner(batch)), None
-    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-        detail = "%s: %s\n%s" % (type(exc).__name__, exc,
-                                 traceback.format_exc())
-        return None, detail
+def _traced_capture(runner, batch, trace, worker, **attrs):
+    """:func:`~repro.analysis.adaptive.capture_result` under a resumed
+    ``simulate`` span (when traced).
 
-
-def _traced_capture(runner, batch, trace, worker):
-    """:func:`_capture` under a resumed ``simulate`` span (when traced).
-
-    The span is made *current* for the worker thread so the kernel
-    phase hooks (transmit/channel/front-end/decode, BCJR sweeps) nest
-    under it.  With tracing off — or an untraced item — this is one
-    attribute load on top of the plain call.
+    Every worker kind executes its items through this: thread workers,
+    child processes and remote agents (which add ``remote=True`` to the
+    span's ``attrs``).  The span is made *current* for the executing
+    thread so the kernel phase hooks (transmit/channel/front-end/decode,
+    BCJR sweeps) nest under it.  With tracing off — or an untraced item
+    — this is one attribute load on top of the plain call.
     """
     tracer = obs_trace.get_tracer()
     if trace is None or not tracer.enabled:
-        return _capture(runner, batch)
+        return capture_result(runner, batch)
     with tracer.resume(trace, "simulate", worker=worker,
-                       label=batch.label()):
-        return _capture(runner, batch)
+                       label=batch.label(), **attrs):
+        return capture_result(runner, batch)
 
 
 def _process_worker_main(worker_id, conn, heartbeat_s, trace_dir=None):
@@ -122,14 +117,14 @@ def _process_worker_main(worker_id, conn, heartbeat_s, trace_dir=None):
     def beat():
         while not stop_beat.wait(heartbeat_s):
             try:
-                send(("heartbeat", worker_id, time.time()))
+                send(("heartbeat",))
             except OSError:
                 return  # the parent closed its end of the pipe
 
     beater = threading.Thread(target=beat, daemon=True)
     beater.start()
     try:
-        send(("heartbeat", worker_id, time.time()))
+        send(("heartbeat",))
         while True:
             try:
                 task = conn.recv()
@@ -139,7 +134,7 @@ def _process_worker_main(worker_id, conn, heartbeat_s, trace_dir=None):
                 break
             seq, runner, batch, trace = task
             result, error = _traced_capture(runner, batch, trace, worker_id)
-            send(("result", worker_id, seq, result, error))
+            send(("result", seq, result, error))
     finally:
         stop_beat.set()
 
@@ -161,36 +156,42 @@ class _Item:
         self.trace = trace  # obs span context riding to the executor
 
 
-class RemoteWorkerHandle:
-    """The fleet-side end of one attached remote worker.
+class WorkerHandle:
+    """The fleet-side end of one worker, whatever the worker is.
 
-    Owned by whoever speaks to the remote agent — in the assembled
-    service, the HTTP handler thread of its ``POST /v1/workers/attach``
-    stream.  The protocol is depth-1, mirroring the process backend:
+    Every worker drives one: a thread worker directly, a child process
+    through its driver thread, a remote agent through the HTTP handler
+    thread of its ``POST /v1/workers/attach`` stream.  The protocol is
+    depth-1, so the fleet always knows exactly which item a worker holds:
 
     * :meth:`next_task` pops the next priority-ordered item (blocking up
       to a timeout) and records it as this worker's outstanding item; it
       refuses to pop while one is outstanding, instead waiting for its
       completion.
-    * :meth:`complete` resolves the outstanding item with the agent's
+    * :meth:`complete` resolves the outstanding item with the worker's
       result; a stale ``seq`` (the item was requeued after this worker
       was presumed dead) is refused so one item can never resolve twice
       with contradictory results.
     * :meth:`beat` keeps the worker alive in the fleet's heartbeat table
-      while a long batch executes remotely.
+      while a long batch executes.
     * :meth:`detach` withdraws the worker; an outstanding item is
-      requeued (up to the fleet's ``max_retries``, then failed), exactly
-      like a dead process worker's.
+      requeued (up to the fleet's ``max_retries``, then failed).  This is
+      the fleet's one requeue-or-fail decision: a dead child process and
+      a vanished remote agent both end here.
     """
 
-    def __init__(self, fleet, name):
+    def __init__(self, fleet, name, remote=False):
         self._fleet = fleet
         self.name = name
+        self.remote = remote
         self.detached = False
-        self.attached_at = time.time()
-        self.last_beat = time.monotonic()
         self.completed = 0
         self._item = None
+        self._touch()
+
+    def _touch(self):
+        self.last_beat = time.monotonic()  # for the watchdog
+        self.last_seen = time.time()  # for heartbeats()
 
     # ------------------------------------------------------------------ #
     @property
@@ -235,8 +236,7 @@ class RemoteWorkerHandle:
                         self._item = item
                         fleet._inflight[item.seq] = item
                         item.attempts += 1
-                        self.last_beat = time.monotonic()
-                        fleet._heartbeat[self.name] = time.time()
+                        self._touch()
                         return item
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -253,21 +253,24 @@ class RemoteWorkerHandle:
             self._item = None
             fleet._inflight.pop(item.seq, None)
             self.completed += 1
-            fleet.remote_completed += 1
-            self.last_beat = time.monotonic()
-            fleet._heartbeat[self.name] = time.time()
+            if self.remote:
+                fleet.remote_completed += 1
+            self._touch()
             fleet._finish(item, result, error)
-            fleet._lock.notify_all()
+            if self.remote:
+                # A remote result arrives on another thread than the one
+                # waiting in next_task for it.  Local workers complete on
+                # their own thread, and a wake-up here would only push
+                # the idle waiters behind them in the condition's queue.
+                fleet._lock.notify_all()
             return True
 
     def beat(self):
         """Record a liveness signal; ``False`` once detached."""
-        fleet = self._fleet
-        with fleet._lock:
+        with self._fleet._lock:
             if self.detached:
                 return False
-            self.last_beat = time.monotonic()
-            fleet._heartbeat[self.name] = time.time()
+            self._touch()
             return True
 
     def detach(self, requeue=True):
@@ -275,39 +278,40 @@ class RemoteWorkerHandle:
 
         Idempotent.  With ``requeue`` (the death/disconnect path) the
         outstanding item goes back on the heap at its own priority, its
-        attempt counted against the fleet's ``max_retries`` exactly like
-        a dead process worker's; past the cap it is failed with an error
-        result.  ``requeue=False`` fails the item outright (an explicit
-        operator eviction, where re-running is not wanted).
+        attempt counted against the fleet's ``max_retries``; past the cap
+        it is failed with an error result.  ``requeue=False`` fails the
+        item outright (an explicit operator eviction, where re-running is
+        not wanted).
         """
         fleet = self._fleet
         with fleet._lock:
             if self.detached:
                 return False
             self.detached = True
-            if fleet._remote.get(self.name) is self:
-                fleet._remote.pop(self.name, None)
-                fleet._heartbeat.pop(self.name, None)
-            fleet.remote_detached += 1
+            workers = fleet._remote if self.remote else fleet._local
+            if workers.get(self.name) is self:
+                del workers[self.name]
+            if self.remote:
+                fleet.remote_detached += 1
             item, self._item = self._item, None
             if item is not None:
                 fleet._inflight.pop(item.seq, None)
-                if item.delivered:
-                    pass  # already resolved (e.g. fleet stop failed it)
-                elif fleet._stopping or not fleet._running:
+                if item.delivered or fleet._stopping or not fleet._running:
                     # Requeueing onto a stopping fleet would strand the
                     # item: nothing will ever drain the heap again.
                     fleet._finish(item, None, "fleet stopped")
                 elif not requeue or item.attempts > fleet.max_retries:
+                    lost = ("remote worker %s detached" % self.name
+                            if self.remote else "worker died")
                     fleet._finish(
                         item, None,
-                        "remote worker %s detached running %s "
-                        "(%d attempt(s))%s"
-                        % (self.name, item.batch.label(), item.attempts,
-                           "" if requeue else "; not requeued"))
+                        "%s running %s (%d attempt(s)); %s"
+                        % (lost, item.batch.label(), item.attempts,
+                           "giving up" if requeue else "not requeued"))
                 else:
                     fleet.retried += 1
-                    fleet.remote_requeued += 1
+                    if self.remote:
+                        fleet.remote_requeued += 1
                     heapq.heappush(fleet._heap,
                                    (item.priority, item.seq, item))
                     fleet._queued[item.item_id] = item
@@ -315,7 +319,7 @@ class RemoteWorkerHandle:
             return True
 
     def __repr__(self):
-        return ("RemoteWorkerHandle(%r, executing=%r, completed=%d, "
+        return ("WorkerHandle(%r, executing=%r, completed=%d, "
                 "detached=%r)" % (self.name, self.executing, self.completed,
                                   self.detached))
 
@@ -334,7 +338,8 @@ class WorkerFleet:
         Optional :mod:`multiprocessing` context or start-method name for
         the process backend.
     heartbeat_s:
-        Process-worker heartbeat interval in seconds.
+        Heartbeat interval in seconds: how often an idle local worker
+        checks in, and a child process beats while it executes.
     max_retries:
         How many times a work item is re-dispatched after the worker
         running it died, before it is failed with an error result.
@@ -386,20 +391,13 @@ class WorkerFleet:
         self._queued = {}          # item_id -> _Item still awaiting dispatch
         self._inflight = {}        # seq -> _Item, dispatched and unresolved
         self._done = queue.Queue()  # (item_id, result dict)
-        self._heartbeat = {}       # worker name -> last-seen timestamp
         self._running = False
         self._stopping = False
-        # thread backend
-        self._threads = []
-        # process backend
-        self._context = None
-        self._procs = {}           # worker name -> (Process, parent Connection)
-        self._assigned = {}        # worker name -> seq it currently holds
-        self._idle = set()
-        self._pump_threads = []
+        self._threads = []         # thread workers or child-process drivers
+        self._context = None       # multiprocessing context (process backend)
         self._worker_ids = itertools.count()
-        # remote workers (either backend)
-        self._remote = {}          # worker name -> RemoteWorkerHandle
+        self._local = {}           # worker name -> WorkerHandle, this host
+        self._remote = {}          # worker name -> WorkerHandle, attached
         self.remote_attached = 0
         self.remote_detached = 0
         self.remote_completed = 0
@@ -414,27 +412,21 @@ class WorkerFleet:
         self._running = True
         self._stopping = False
         if self.backend == "thread":
-            for _ in range(self.workers):
-                name = "fleet-thread-%d" % next(self._worker_ids)
-                thread = threading.Thread(target=self._thread_worker_main,
-                                          args=(name,), daemon=True)
-                self._heartbeat[name] = time.time()
-                self._threads.append(thread)
-                thread.start()
-            return self
-        import multiprocessing
+            target, prefix = self._thread_worker_main, "fleet-thread"
+        else:
+            import multiprocessing
 
-        context = self.mp_context
-        if isinstance(context, str):
-            context = multiprocessing.get_context(context)
-        self._context = context or multiprocessing.get_context()
+            context = self.mp_context
+            if isinstance(context, str):
+                context = multiprocessing.get_context(context)
+            self._context = context or multiprocessing.get_context()
+            target, prefix = self._process_driver_main, "fleet-proc"
         for _ in range(self.workers):
-            self._spawn_process_worker()
-        collector = threading.Thread(target=self._collector_main, daemon=True)
-        feeder = threading.Thread(target=self._feeder_main, daemon=True)
-        self._pump_threads = [collector, feeder]
-        collector.start()
-        feeder.start()
+            thread = threading.Thread(target=target,
+                                      args=(self._new_local(prefix),),
+                                      daemon=True)
+            self._threads.append(thread)
+            thread.start()
         return self
 
     def stop(self):
@@ -444,40 +436,23 @@ class WorkerFleet:
                 return
             self._stopping = True
             self._lock.notify_all()
-        if self.backend == "thread":
-            for thread in self._threads:
-                thread.join(timeout=10.0)
-            self._threads = []
-        else:
-            for _, conn in list(self._procs.values()):
-                try:
-                    conn.send(None)
-                except OSError:
-                    pass
-            for thread in self._pump_threads:
-                thread.join(timeout=10.0)
-            self._pump_threads = []
-            for proc, conn in list(self._procs.values()):
-                proc.join(timeout=5.0)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=5.0)
-                conn.close()
-            self._procs = {}
-        for handle in list(self._remote.values()):
-            # Their attach streams notice _stopping and exit on their own;
-            # detaching here makes the outstanding items' fate immediate
-            # rather than waiting on a handler thread's next wake-up.
+        for thread in self._threads:
+            thread.join(timeout=10.0)
+        self._threads = []
+        with self._lock:
+            handles = list(self._local.values()) + list(self._remote.values())
+        for handle in handles:
+            # Remote attach streams notice _stopping and exit on their
+            # own; detaching here makes the outstanding items' fate
+            # immediate, and takes every stopped worker out of the
+            # heartbeat table.
             handle.detach(requeue=False)
         with self._lock:
-            leftovers = list(self._inflight.values())
-            self._inflight = {}
             while self._heap:
-                leftovers.append(heapq.heappop(self._heap)[2])
+                self._finish(heapq.heappop(self._heap)[2], None,
+                             "fleet stopped")
             self._queued = {}
             self._running = False
-            for item in leftovers:
-                self._finish(item, None, "fleet stopped")
 
     def __enter__(self):
         return self.start()
@@ -566,7 +541,7 @@ class WorkerFleet:
     # Remote workers
     # ------------------------------------------------------------------ #
     def register_remote(self, name=None):
-        """Attach a remote worker; its :class:`RemoteWorkerHandle`.
+        """Attach a remote worker; its :class:`WorkerHandle`.
 
         ``name`` identifies the worker across reconnects: an agent
         re-attaching under a name that is still registered (its previous
@@ -584,9 +559,8 @@ class WorkerFleet:
         with self._lock:
             if not self._running or self._stopping:
                 raise FleetError("fleet is not running; start() it first")
-            handle = RemoteWorkerHandle(self, name)
+            handle = WorkerHandle(self, name, remote=True)
             self._remote[name] = handle
-            self._heartbeat[name] = time.time()
             self.remote_attached += 1
             return handle
 
@@ -664,8 +638,9 @@ class WorkerFleet:
         """Seconds since each worker was last seen alive."""
         now = time.time() if now is None else now
         with self._lock:
-            return {name: now - seen
-                    for name, seen in sorted(self._heartbeat.items())}
+            handles = list(self._local.values()) + list(self._remote.values())
+        return {handle.name: now - handle.last_seen
+                for handle in sorted(handles, key=lambda h: h.name)}
 
     def stats(self):
         return {
@@ -698,167 +673,126 @@ class WorkerFleet:
         item.delivered = True
         if error is not None:
             # Match the executor's capture rows: first line in the result,
-            # full detail available to whoever logs it.
+            # full detail (the worker's traceback) logged here, once.
+            _logger.warning("work item %s failed: %s", item.batch.label(),
+                            error)
             result = {"error": error.splitlines()[0]}
         self.completed += 1
         self._done.put((item.item_id, result))
 
     # ------------------------------------------------------------------ #
-    # Thread backend
+    # Local workers: threads, and child processes behind driver threads
     # ------------------------------------------------------------------ #
-    def _thread_worker_main(self, name):
-        while True:
-            with self._lock:
-                item = None
-                while not self._stopping:
-                    item = self._pop_queued()
-                    if item is not None:
-                        break
-                    self._heartbeat[name] = time.time()
-                    self._lock.wait(timeout=self.heartbeat_s)
-                if item is None:
-                    return
-                self._inflight[item.seq] = item
-                self._heartbeat[name] = time.time()
+    def _new_local(self, prefix):
+        """Register a handle for a new local worker named ``prefix-N``."""
+        with self._lock:
+            handle = WorkerHandle(self, "%s-%d" % (prefix,
+                                                   next(self._worker_ids)))
+            self._local[handle.name] = handle
+            return handle
+
+    def _thread_worker_main(self, handle):
+        while handle.active:
+            item = handle.next_task(timeout=self.heartbeat_s)
+            if item is None:
+                handle.beat()
+                continue
             with self._compute_gate:
                 result, error = _traced_capture(item.runner, item.batch,
-                                                item.trace, name)
-            with self._lock:
-                self._inflight.pop(item.seq, None)
-                self._heartbeat[name] = time.time()
-                self._finish(item, result, error)
+                                                item.trace, handle.name)
+            handle.complete(item.seq, result, error)
 
-    # ------------------------------------------------------------------ #
-    # Process backend
-    # ------------------------------------------------------------------ #
-    def _spawn_process_worker(self):
-        name = "fleet-proc-%d" % next(self._worker_ids)
-        parent_conn, child_conn = self._context.Pipe(duplex=True)
-        proc = self._context.Process(
-            target=_process_worker_main,
-            args=(name, child_conn, self.heartbeat_s, obs_trace.sink_dir()),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()  # the parent keeps only its own end
-        self._procs[name] = (proc, parent_conn)
-        self._heartbeat[name] = time.time()
-        self._idle.add(name)
-        return name
+    def _spawn_child(self, name):
+        """Start the child process for worker ``name``; ``(proc, conn)``."""
+        # Under the lock: with fork, a child started while another
+        # child's pipe end is still open here would inherit that end and
+        # keep the other child's death from ever reading as EOF.
+        with self._lock:
+            conn, child_conn = self._context.Pipe(duplex=True)
+            proc = self._context.Process(
+                target=_process_worker_main,
+                args=(name, child_conn, self.heartbeat_s,
+                      obs_trace.sink_dir()),
+                daemon=True,
+            )
+            proc.start()
+            child_conn.close()  # the parent keeps only its own end
+        return proc, conn
 
-    def _feeder_main(self):
-        """Assign heap items to idle workers; watch for worker death."""
-        while True:
-            with self._lock:
-                if self._stopping:
-                    return
-                while self._idle:
-                    item = self._pop_queued()
-                    if item is None:
-                        break
-                    name = self._idle.pop()
-                    _, conn = self._procs[name]
-                    self._inflight[item.seq] = item
-                    self._assigned[name] = item.seq
-                    item.attempts += 1
-                    try:
-                        conn.send((item.seq, item.runner, item.batch,
-                                   item.trace))
-                    except OSError:
-                        self._reap_worker(name)
-                    except Exception as exc:
-                        # The item itself cannot be shipped (unpicklable
-                        # runner or batch): fail it deterministically and
-                        # keep both the worker and this thread alive.
-                        self._inflight.pop(item.seq, None)
-                        self._assigned.pop(name, None)
-                        self._idle.add(name)
-                        self._finish(
-                            item, None,
-                            "work item %s cannot be shipped to a process "
-                            "worker: %s: %s" % (item.batch.label(),
-                                                type(exc).__name__, exc))
-                for name, (proc, _) in list(self._procs.items()):
-                    if not proc.is_alive():
-                        self._reap_worker(name)
-                self._lock.wait(timeout=0.2)
+    def _process_driver_main(self, handle):
+        """Drive one child process through ``handle``; replace it on death.
 
-    def _reap_worker(self, name):
-        """Requeue (or fail) a dead worker's item; start a replacement.
-
-        Called with the lock held.  A worker that died *between* items is
-        simply replaced; one that died holding an item triggers the
-        retry path.
+        Sends each item :meth:`WorkerHandle.next_task` returns down the
+        child's pipe, forwards the child's heartbeats to
+        :meth:`WorkerHandle.beat` and its result to
+        :meth:`WorkerHandle.complete`.  On EOF (the child died) the
+        handle is detached with ``requeue=True`` and a replacement child
+        is started under a fresh handle.
         """
-        proc, conn = self._procs.pop(name)
-        conn.close()
-        self._heartbeat.pop(name, None)
-        self._idle.discard(name)
-        seq = self._assigned.pop(name, None)
-        if seq is not None:
-            item = self._inflight.pop(seq, None)
+        proc, conn = self._spawn_child(handle.name)
+        while handle.active:
+            item = handle.next_task(timeout=self.heartbeat_s)
             if item is not None:
-                if item.attempts > self.max_retries:
-                    self._finish(
-                        item, None,
-                        "worker died running %s (%d attempt(s)); giving up"
-                        % (item.batch.label(), item.attempts))
-                else:
-                    self.retried += 1
-                    heapq.heappush(self._heap,
-                                   (item.priority, item.seq, item))
-                    self._queued[item.item_id] = item
-        if not self._stopping:
-            self.restarted += 1
-            self._spawn_process_worker()
-
-    def _collector_main(self):
-        """Drain worker messages into heartbeats and completed results."""
-        from multiprocessing.connection import wait as connection_wait
-
-        while True:
+                try:
+                    conn.send((item.seq, item.runner, item.batch,
+                               item.trace))
+                except OSError:
+                    pass  # the child is gone: the pump below reads EOF
+                except Exception as exc:
+                    # The item itself cannot be shipped (unpicklable
+                    # runner or batch): fail it deterministically and
+                    # keep the child.
+                    handle.complete(
+                        item.seq, None,
+                        "work item %s cannot be shipped to a process "
+                        "worker: %s: %s" % (item.batch.label(),
+                                            type(exc).__name__, exc))
+            if self._pump_child(handle, proc, conn):
+                continue
+            handle.detach(requeue=True)
+            conn.close()
+            proc.join(timeout=1.0)
             with self._lock:
                 if self._stopping:
                     return
-                conns = {conn: name
-                         for name, (_, conn) in self._procs.items()}
-            try:
-                ready = connection_wait(list(conns), timeout=0.2)
-            except OSError:
-                # The feeder reaped a dead worker (closing its connection)
-                # between our snapshot and the wait; rebuild and retry.
-                continue
-            for conn in ready:
-                name = conns[conn]
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    # The worker died (possibly mid-message), or the feeder
-                    # reaped it and closed the connection after our
-                    # snapshot.  Reap now rather than spinning on the
-                    # readable-at-EOF connection until the feeder notices.
-                    with self._lock:
-                        if name in self._procs:
-                            self._procs[name][0].join(timeout=1.0)
-                            self._reap_worker(name)
-                            self._lock.notify_all()
+                self.restarted += 1
+                handle = self._new_local("fleet-proc")
+            proc, conn = self._spawn_child(handle.name)
+        try:
+            conn.send(None)
+        except OSError:
+            pass
+        proc.join(timeout=5.0)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(timeout=5.0)
+        conn.close()
+
+    @staticmethod
+    def _pump_child(handle, proc, conn):
+        """Forward the child's messages to ``handle``; ``False`` on death.
+
+        Reads until the handle holds no item and the pipe is drained, or
+        until the fleet stops (an outstanding item is then left for
+        :meth:`stop` to fail).
+        """
+        try:
+            while handle.executing or conn.poll():
+                if not conn.poll(0.2):
+                    if not proc.is_alive():
+                        return False
+                    if not handle.active:
+                        return True
                     continue
-                kind = message[0]
-                with self._lock:
-                    if kind == "heartbeat":
-                        _, name, seen = message
-                        if name in self._procs:
-                            self._heartbeat[name] = seen
-                    elif kind == "result":
-                        _, name, seq, result, error = message
-                        if name in self._procs:
-                            self._heartbeat[name] = time.time()
-                            self._assigned.pop(name, None)
-                            self._idle.add(name)
-                            self._lock.notify_all()
-                        item = self._inflight.pop(seq, None)
-                        if item is not None:
-                            self._finish(item, result, error)
+                message = conn.recv()
+                if message[0] == "heartbeat":
+                    handle.beat()
+                else:
+                    _, seq, result, error = message
+                    handle.complete(seq, result, error)
+        except (EOFError, OSError):
+            return False
+        return True
 
     def __repr__(self):
         return ("WorkerFleet(backend=%r, workers=%d, pending=%d, "

@@ -44,7 +44,7 @@ import urllib.request
 
 from repro.obs import configure_logging
 from repro.obs import trace as obs_trace
-from repro.service.fleet import _capture
+from repro.service.fleet import _traced_capture
 from repro.service.transport import decode_payload, encode_payload
 
 __all__ = ["WorkerAgent", "main"]
@@ -107,20 +107,14 @@ class WorkerAgent:
             beater = threading.Thread(target=self._beat_while, args=(done,),
                                       daemon=True)
             beater.start()
-            tracer = obs_trace.get_tracer()
-            trace = event.get("trace")
             try:
-                if tracer.enabled and trace is not None:
-                    # Continue the request's trace: the batch's span
-                    # context rode the task event (see the service's
-                    # attach handler), so this simulate span — and the
-                    # kernel phase spans under it — joins the same tree
-                    # even though it runs on another host.
-                    with tracer.resume(trace, "simulate", worker=self.name,
-                                       remote=True, label=batch.label()):
-                        result, error = _capture(runner, batch)
-                else:
-                    result, error = _capture(runner, batch)
+                # The batch's span context rode the task event (see the
+                # service's attach handler), so this simulate span — and
+                # the kernel phase spans under it — joins the request's
+                # trace even though it runs on another host.
+                result, error = _traced_capture(
+                    runner, batch, event.get("trace"), self.name,
+                    remote=True)
             finally:
                 done.set()
         body = {"seq": seq}

@@ -265,7 +265,7 @@ class TestAdaptiveScheduler:
         )
         process = AdaptiveScheduler(
             stop=stop, batch_packets=8, budget=96,
-            executor=SweepExecutor("process", max_workers=4, chunk_size=1),
+            executor=SweepExecutor("process", max_workers=4),
         ).run(spec, run_link_ber_batch)
         assert process == serial  # element-for-element, reasons and spend too
 
@@ -416,7 +416,7 @@ class TestAdaptiveLinkPointRunner:
         serial = self.adaptive(spec, rule)
         process = self.adaptive(
             spec, rule,
-            executor=SweepExecutor("process", max_workers=2, chunk_size=1))
+            executor=SweepExecutor("process", max_workers=2))
         assert process == serial
 
     def test_fading_passthrough_changes_the_channel(self):

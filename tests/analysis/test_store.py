@@ -204,7 +204,7 @@ class TestExperimentResume:
         store = ResultStore(tmp_path)
         experiment(LOOSE, store).run(SweepExecutor("serial"))
         resumed = experiment(TIGHT, store)
-        rows = resumed.run(SweepExecutor("process", max_workers=2, chunk_size=1))
+        rows = resumed.run(SweepExecutor("process", max_workers=2))
         assert rows == experiment(TIGHT).run(SweepExecutor("serial"))
 
     def test_different_stop_rules_share_one_namespace(self, tmp_path):

@@ -55,6 +55,26 @@ def fail_at_seven(point):
     return {"ok": True}
 
 
+def doubled_snr(point):
+    """Picklable runner returning a bare number, not a mapping."""
+    return 2.0 * point["snr_db"]
+
+
+def die_once(point):
+    """Picklable runner whose first attempt kills its worker process."""
+    marker = point["kill_marker"]
+    if not os.path.exists(marker):
+        with open(marker, "w", encoding="utf-8") as handle:
+            handle.write("died")
+        os._exit(13)  # no exception, no cleanup: a genuine worker death
+    return echo_seed(point)
+
+
+def always_die(point):
+    """Picklable runner that kills every worker it runs on."""
+    os._exit(13)
+
+
 class TestSweepSpec:
     def test_grid_is_row_major_over_axes(self):
         spec = SweepSpec({"a": [1, 2], "b": ["x", "y"]})
@@ -96,8 +116,6 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepExecutor(max_workers=0)
         with pytest.raises(ValueError):
-            SweepExecutor(chunk_size=0)
-        with pytest.raises(ValueError):
             SweepExecutor().run(SweepSpec({"a": [1]}), echo_seed, on_error="abort")
 
 
@@ -120,9 +138,8 @@ class TestSeedDerivation:
     def test_seeds_stable_across_chunk_sizes_and_worker_counts(self):
         spec = SweepSpec({"snr_db": [4.0, 5.0, 6.0, 7.0, 8.0]}, seed=11)
         reference = SweepExecutor("serial").run(spec, echo_seed)
-        for chunk_size in (1, 2, 5):
-            executor = SweepExecutor("process", max_workers=1,
-                                     chunk_size=chunk_size)
+        for workers in (1, 2, 5):
+            executor = SweepExecutor("process", max_workers=workers)
             assert executor.run(spec, echo_seed) == reference
 
     def test_constants_do_not_move_points_onto_new_streams(self):
@@ -163,8 +180,8 @@ class TestExecution:
     def test_multi_worker_rows_identical_to_serial(self, workers):
         spec = small_link_spec()
         serial = SweepExecutor("serial").run(spec, run_scenario_point)
-        parallel = SweepExecutor("process", max_workers=workers,
-                                 chunk_size=1).run(spec, run_scenario_point)
+        parallel = SweepExecutor("process", max_workers=workers).run(
+            spec, run_scenario_point)
         assert parallel == serial
 
     def test_session_reuses_one_pool_across_runs(self):
@@ -184,6 +201,14 @@ class TestExecution:
         assert executor._pool is None  # torn down on exit
         assert first == fresh
         assert second == fresh
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_non_dict_results_are_wrapped(self, backend):
+        spec = SweepSpec({"snr_db": [4.0, 6.5]})
+        rows = SweepExecutor(backend, max_workers=1,
+                             mp_context="fork").run(spec, doubled_snr)
+        assert rows == [{"snr_db": 4.0, "result": 8.0},
+                        {"snr_db": 6.5, "result": 13.0}]
 
     def test_session_is_a_noop_for_serial(self):
         executor = SweepExecutor("serial")
@@ -280,6 +305,28 @@ class TestErrorSurfacing:
         assert "demapper fell over" in message
         assert "ValueError" in message
 
+    def test_sweep_survives_a_worker_death(self, tmp_path):
+        # The first attempt kills its child process; the fleet requeues
+        # the point onto a replacement child, which lands on the same
+        # seed, so the rows are the serial rows.
+        marker = str(tmp_path / "first-attempt-died")
+        spec = SweepSpec({"snr_db": [4.0, 5.0, 6.0]},
+                         constants={"kill_marker": marker}, seed=11)
+        rows = SweepExecutor("process", max_workers=1,
+                             mp_context="fork").run(spec, die_once)
+        assert os.path.exists(marker), "the first attempt should have died"
+        assert rows == SweepExecutor("serial").run(spec, die_once)
+
+    def test_a_point_that_keeps_killing_workers_is_named(self):
+        spec = SweepSpec({"rate_mbps": [24], "snr_db": [5.0]})
+        with pytest.raises(SweepError) as excinfo:
+            SweepExecutor("process", max_workers=1,
+                          mp_context="fork").run(spec, always_die)
+        message = str(excinfo.value)
+        assert "snr_db=5.0" in message
+        assert "worker died" in message
+        assert excinfo.value.point.coordinates["snr_db"] == 5.0
+
     def test_capture_keeps_the_healthy_points(self):
         rows = SweepExecutor("serial").run(self.spec(), fail_at_seven,
                                            on_error="capture")
@@ -312,7 +359,7 @@ def test_four_worker_fig6_sweep_matches_serial_and_halves_wall_clock():
     serial = SweepExecutor("serial").run(spec, run_scenario_point)
     serial_elapsed = time.perf_counter() - start
 
-    executor = SweepExecutor("process", max_workers=4, chunk_size=1)
+    executor = SweepExecutor("process", max_workers=4)
     start = time.perf_counter()
     parallel = executor.run(spec, run_scenario_point)
     parallel_elapsed = time.perf_counter() - start

@@ -7,6 +7,7 @@ heartbeats, and — for the process backend — retry after a worker dies
 mid-batch, with numpy-array payloads riding the pipes both ways.
 """
 
+import logging
 import multiprocessing
 import os
 import threading
@@ -229,6 +230,22 @@ class TestThreadFleet:
             assert fleet.poll(timeout=0.2) == []
             assert ran == [first.index]
 
+    def test_failure_detail_is_logged_once_naming_the_item(self, caplog):
+        batch = batches()[0]
+        with caplog.at_level(logging.WARNING, logger="repro.service.fleet"):
+            with WorkerFleet(workers=1, backend="thread") as fleet:
+                fleet.submit("bad", _failing_runner, batch)
+                results = drain(fleet, 1)
+        # The result carries the first line; the log carries the rest.
+        assert results["bad"]["error"] == "RuntimeError: boom at %s" \
+            % batch.label()
+        (record,) = [r for r in caplog.records if r.name == "repro.service.fleet"]
+        assert record.levelno == logging.WARNING
+        message = record.getMessage()
+        assert batch.label() in message
+        assert "Traceback (most recent call last)" in message
+        assert "_failing_runner" in message
+
     def test_heartbeats_cover_every_worker(self):
         with WorkerFleet(workers=2, backend="thread") as fleet:
             beats = fleet.heartbeats()
@@ -260,6 +277,20 @@ class TestThreadFleet:
         for item_id in ("a", "b"):
             if item_id in results and "error" in results[item_id]:
                 assert results[item_id]["error"] == "fleet stopped"
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_stopped_workers_leave_the_heartbeat_table(backend):
+    fleet = WorkerFleet(workers=2, backend=backend, mp_context="fork")
+    fleet.start()
+    first = set(fleet.heartbeats())
+    assert len(first) == 2
+    fleet.stop()
+    assert fleet.heartbeats() == {}
+    with fleet:  # stop -> start, as Service supports
+        second = set(fleet.heartbeats())
+        assert len(second) == 2 and not second & first
+    assert fleet.heartbeats() == {}
 
 
 class TestProcessFleet:
