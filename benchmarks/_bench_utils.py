@@ -7,39 +7,9 @@ integer larger than 1 to multiply the simulated traffic (lower BER floors,
 proportionally longer runs).
 """
 
-import json
 import os
-import time
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-BASELINES_PATH = os.path.join(os.path.dirname(__file__), "baselines.json")
-
-
-def best_of(fn, repeats=3):
-    """Best-of-``repeats`` ``(elapsed_seconds, first_result)`` for ``fn``.
-
-    The best-of estimator is the standard defence against host scheduling
-    noise (CPU steal on shared VMs, the first timed pass in a process
-    running tens of percent slower than steady state): the minimum over a
-    few repeats converges on the code's actual cost, where a single
-    sample records whatever the host happened to be doing.  The returned
-    result is always the *first* run's, so any simulation output embedded
-    in it (BERs, row contents) is independent of ``repeats``.
-
-    Use this when ``fn``'s result is deterministic and only the wall
-    clock varies; use :func:`fastest_result` when the runner times itself
-    and its reported numbers must come from one coherent run.
-    """
-    best, result = None, None
-    for index in range(max(1, repeats)):
-        start = time.perf_counter()
-        out = fn()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-        if index == 0:
-            result = out
-    return best, result
 
 
 def fastest_result(fn, repeats=3, *, elapsed):
@@ -57,43 +27,6 @@ def fastest_result(fn, repeats=3, *, elapsed):
         if best is None or elapsed(out) < elapsed(best):
             best = out
     return best
-
-
-def host_metadata():
-    """Host facts stamped into every perf JSON row.
-
-    Absolute throughput numbers are only comparable on the same machine;
-    carrying the host alongside each row lets the trajectory tooling
-    partition rows by host instead of comparing apples to oranges.
-    """
-    import platform
-
-    import numpy
-
-    return {
-        "cpu_count": os.cpu_count(),
-        "machine": platform.machine(),
-        "python_version": platform.python_version(),
-        "numpy_version": numpy.__version__,
-    }
-
-
-def reference_baseline(name):
-    """The recorded reference row for benchmark ``name``, or ``None``.
-
-    Baselines live in ``benchmarks/baselines.json`` as data — one
-    measured row per benchmark, each carrying the host it was measured
-    on — rather than as constants hardcoded into benchmark code, so a
-    baseline can be re-recorded (or a per-host one added) without
-    touching the benchmarks.
-    """
-    try:
-        with open(BASELINES_PATH, "r", encoding="utf-8") as handle:
-            baselines = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    row = baselines.get(name)
-    return row if isinstance(row, dict) else None
 
 
 def bench_scale():

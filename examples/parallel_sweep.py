@@ -17,8 +17,8 @@ it actually needs.
 Fixed versus adaptive depth
 ---------------------------
 ``stop=None`` is the *fixed-depth* mode: every point simulates exactly
-``num_packets`` packets (what the wall-clock-pinned perf benchmarks
-need).  The adaptive mode used here runs each point in fixed-size batches
+``num_packets`` packets, so every point does the same work.  The
+adaptive mode used here runs each point in fixed-size batches
 until the ``StopRule`` fires.
 
 Determinism and sharding

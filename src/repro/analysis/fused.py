@@ -40,6 +40,7 @@ import time
 
 import numpy as np
 
+from repro.analysis.link import FUSED_PACKET_TARGET
 from repro.analysis.sweep import _resolve_fading, _resolve_llr_format
 from repro.obs.phases import get_phase_hook
 from repro.channel.awgn import awgn_batch
@@ -48,11 +49,6 @@ from repro.phy.dtype import dtype_policy
 from repro.phy.params import rate_by_mbps
 from repro.phy.receiver import Receiver
 from repro.phy.transmitter import Transmitter
-
-#: Packets per fused decode call: the decoder's measured per-packet sweet
-#: spot (cost rises again past ~48 as the backward sweep's working set
-#: outgrows the cache), so a large group decodes in several warm passes.
-DECODE_CHUNK_PACKETS = 32
 
 #: Batches per fused group.  Bounds the peak sample-tensor footprint of a
 #: group (the front end holds every member's received samples at once)
@@ -142,7 +138,7 @@ class FusedBatchGroup:
             len(self.batches), self.num_packets)
 
 
-def run_fused_group(batches, decode_chunk=DECODE_CHUNK_PACKETS):
+def run_fused_group(batches, decode_chunk=FUSED_PACKET_TARGET):
     """Simulate a list of same-``fuse_key`` batches in one tensor pass.
 
     Returns one ``{"errors", "trials", "packet_errors"}`` mapping per

