@@ -31,8 +31,10 @@ Observability hooks (used by the CI obs-smoke job):
   in-process service directly, the daemon through the inherited
   environment — ready for ``python -m repro.obs.trace summarize DIR``.
 * ``REPRO_PROM_SCRAPE=PATH`` fetches the daemon's
-  ``GET /v1/metrics?format=prometheus`` exposition, validates it with
-  the strict text-format parser, and writes it to ``PATH``.
+  ``GET /v1/metrics?format=prometheus`` exposition once the daemon is
+  idle, validates it with the strict text-format parser, checks it
+  carries the fleet families and that its completed-items count equals
+  ``/v1/metrics`` ``fleet.completed``, and writes it to ``PATH``.
 """
 
 import os
@@ -180,11 +182,31 @@ def daemon_demo(store_dir):
             from urllib.request import urlopen
 
             from repro.obs import parse_exposition
+            # Let the cancelled request's executing batches land first:
+            # on an idle daemon the scrape and the JSON ledger read the
+            # same counters, so they must agree.
+            deadline = time.time() + 60.0
+            while True:
+                metrics = fetch_json(base_url + "/v1/metrics")
+                if not (metrics["fleet"]["pending"]
+                        or metrics["batches"]["inflight"]):
+                    break
+                assert time.time() < deadline, "the daemon never went idle"
+                time.sleep(0.1)
             with urlopen(base_url + "/v1/metrics?format=prometheus",
                          timeout=30) as response:
                 exposition = response.read().decode("utf-8")
             parsed = parse_exposition(exposition)  # strict-grammar check
-            assert "repro_requests_total" in parsed
+            for family in ("repro_requests_total", "repro_fleet_items_total",
+                           "repro_fleet_workers_restarted_total",
+                           "repro_fleet_remote_events_total",
+                           "repro_fleet_worker_items_total"):
+                assert family in parsed, "scrape lacks %s" % family
+            completed = [value for _, labels, value
+                         in parsed["repro_fleet_items_total"]["samples"]
+                         if labels["event"] == "completed"]
+            assert completed == [metrics["fleet"]["completed"]], \
+                (completed, metrics["fleet"])
             with open(scrape_path, "w", encoding="utf-8") as handle:
                 handle.write(exposition)
             print("  prometheus: %d families scraped to %s"

@@ -1,18 +1,19 @@
 """Typed metrics: counters, gauges, fixed-bucket histograms, Prometheus text.
 
-The broker's counters live here: its ``GET /v1/metrics`` JSON document
-(keys append-only across PRs) and ``status()`` read the same counter
-children the Prometheus exposition renders, so each event is counted
-once.  Histograms add what a JSON blob cannot carry — distributions,
-and stage latency *is* a distribution.  The pieces:
+Every service counter lives here, once: the broker, its worker fleet
+and its lease manager each own a registry, and the ``GET /v1/metrics``
+JSON document (keys append-only across PRs), ``status()`` and the
+Prometheus exposition all read the same counter children, so each event
+is counted once.  Histograms add what a JSON blob cannot carry —
+distributions, and stage latency *is* a distribution.  The pieces:
 
 * :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments,
   grouped into named **families** with optional labels, owned by a
   :class:`MetricsRegistry`.
-* **Callback families** whose samples are computed at render time from
-  a closure — for state another object owns (a lease manager's
-  counters, fleet heartbeats, the in-flight batch count), read under
-  the broker lock during render.
+* **Callback gauges** whose samples are computed at render time from
+  a closure — for live state another object owns (fleet heartbeat
+  ages, the in-flight batch count), read under the broker lock during
+  render.
 * :func:`render_prometheus`: the text exposition format
   (``# HELP``/``# TYPE``, cumulative ``_bucket{le=...}`` + ``_sum`` +
   ``_count``), and :func:`parse_exposition`, a strict validator used by
@@ -20,8 +21,9 @@ and stage latency *is* a distribution.  The pieces:
   format's grammar, not just eyeballed.
 
 Everything is stdlib-only and thread-safe: direct instruments take a
-per-registry lock on update; callback families synchronise however
-their owner does (the broker renders under its own lock).
+per-registry lock on update, a leaf lock nothing else is taken under;
+callback gauges synchronise however their owner does (the broker
+renders under its own lock).
 """
 
 import math
@@ -151,6 +153,19 @@ class Family:
                 self._children[key] = child
         return child
 
+    def children(self, *values):
+        """Every child of a one-label family, by label value, created
+        up front so each renders (at zero) from the first scrape on."""
+        (label,) = self.labelnames
+        return {value: self.labels(**{label: value}) for value in values}
+
+    def remove(self, **labelvalues):
+        """Drop the child for these label values (a worker that left);
+        its series stops rendering."""
+        key = tuple(str(labelvalues[n]) for n in self.labelnames)
+        with self._registry._lock:
+            self._children.pop(key, None)
+
     @property
     def unlabelled(self):
         """The single child of a label-less family."""
@@ -160,10 +175,13 @@ class Family:
         return self.labels()
 
     def samples(self):
-        for key, child in sorted(self._children.items()):
-            labels = tuple(zip(self.labelnames, key))
-            for sample in child.samples(self.name, labels):
-                yield sample
+        # One snapshot under the registry lock: children come and go,
+        # and a histogram's buckets must agree with its count.
+        with self._registry._lock:
+            return [sample
+                    for key, child in sorted(self._children.items())
+                    for sample in child.samples(
+                        self.name, tuple(zip(self.labelnames, key)))]
 
     # Label-less convenience passthroughs.
     def inc(self, amount=1):
@@ -177,14 +195,13 @@ class Family:
 
 
 class _CallbackFamily:
-    """Samples computed at render time from the owner's live state."""
+    """A gauge computed at render time from the owner's live state."""
 
-    def __init__(self, name, help_text, kind, collect):
-        if kind not in ("counter", "gauge"):
-            raise ValueError("callback families are counter or gauge")
+    kind = "gauge"
+
+    def __init__(self, name, help_text, collect):
         self.name = name
         self.help = help_text
-        self.kind = kind
         self._collect = collect
 
     def samples(self):
@@ -233,13 +250,14 @@ class MetricsRegistry:
                             lambda lock: Histogram(lock, buckets),
                             labelnames)
 
-    def callback(self, name, help_text, kind, collect):
-        """Register a render-time family; ``collect()`` yields
+    def callback(self, name, help_text, collect):
+        """Register a render-time gauge; ``collect()`` yields
         ``(labels_dict, value)`` pairs.  Re-registering ``name``
-        replaces the callback (a restarted broker keeps the name)."""
+        replaces the callback (a restarted broker keeps the name).
+        Counters are never callbacks: a count lives in one child."""
         if not _NAME_RE.match(name):
             raise ValueError("bad metric name %r" % name)
-        family = _CallbackFamily(name, help_text, kind, collect)
+        family = _CallbackFamily(name, help_text, collect)
         with self._lock:
             existing = self._families.get(name)
             if existing is not None and isinstance(existing, Family):

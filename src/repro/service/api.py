@@ -354,23 +354,12 @@ class Service:
         return self.broker.cancel(request_key, reason=reason)
 
     def status(self):
-        return dict(self.broker.status(), store_root=self.store.root,
-                    heartbeats=self.fleet.heartbeats())
+        """Broker and fleet counters (served by ``GET /v1/status``)."""
+        return self.broker.status()
 
     def metrics(self):
-        """The full operational ledger (served by ``GET /v1/metrics``).
-
-        The whole document — including the service-level extras — is
-        assembled inside the broker lock, so one snapshot is one
-        instant: its counters always balance (taking heartbeats after
-        releasing the lock used to let a completing batch skew the
-        ledger mid-read).  The broker->fleet lock order this relies on
-        is the one the broker's own dispatch path already established.
-        """
-        return self.broker.metrics(extras={
-            "store_root": lambda: self.store.root,
-            "heartbeats": self.fleet.heartbeats,
-        })
+        """The full operational ledger (served by ``GET /v1/metrics``)."""
+        return self.broker.metrics()
 
     def prometheus_text(self):
         """Prometheus text exposition (``GET /v1/metrics?format=prometheus``)."""

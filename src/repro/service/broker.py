@@ -63,6 +63,7 @@ import time
 from repro.analysis.resolver import BatchResolver
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.service.cluster import lease_events
 from repro.service.quota import ClientQuota
 
 __all__ = ["ServiceError", "ServiceSaturated", "ClientQuota", "RequestTicket",
@@ -125,9 +126,6 @@ class RequestTicket:
         #: — one HTTP client hanging up must not kill its twin's stream.
         self.interest = 1
         self.cancelled = False
-        #: Batches of this request by the source that answered them
-        #: (``cached``, ``simulated``, ``shared``, ``leased``).
-        self.tally = dict.fromkeys(_SOURCES, 0)
         self.first_row_at = None
         self.finished_at = None
         self.failure = None
@@ -143,6 +141,9 @@ class RequestTicket:
         self._events = []
         self._subscribers = []
         self._emitted = set()      # point indices already streamed
+        #: Batches of each point by the source that answered them
+        #: (``cached``, ``simulated``, ``shared``, ``leased``); the
+        #: request's ``batches_*`` totals are their sums.
         self._per_point = {state.point.index: dict.fromkeys(_SOURCES, 0)
                            for state in trajectory.states}
 
@@ -151,7 +152,12 @@ class RequestTicket:
     # ------------------------------------------------------------------ #
     def _note(self, batch, source):
         self._per_point[batch.point.index][source] += 1
-        self.tally[source] += 1
+
+    def _tally(self):
+        """Batches of the whole request by source."""
+        return {source: sum(counts[source]
+                            for counts in self._per_point.values())
+                for source in _SOURCES}
 
     def _emit(self, event):
         self._events.append(event)
@@ -276,6 +282,7 @@ class RequestTicket:
             if state.stop_reason is not None:
                 reasons[state.stop_reason] = reasons.get(state.stop_reason,
                                                          0) + 1
+        tally = self._tally()
         out = {
             "request": self.key,
             "namespace": self.digest,
@@ -284,10 +291,10 @@ class RequestTicket:
             "points_done": sum(1 for s in states if s.stop_reason is not None),
             "packets_spent": sum(s.packets for s in states),
             "batches": sum(s.batches for s in states),
-            "batches_cached": self.tally["cached"],
-            "batches_simulated": self.tally["simulated"],
-            "batches_shared": self.tally["shared"],
-            "batches_leased": self.tally["leased"],
+            "batches_cached": tally["cached"],
+            "batches_simulated": tally["simulated"],
+            "batches_shared": tally["shared"],
+            "batches_leased": tally["leased"],
             "budget_left": self.trajectory.budget_left,
             "coalesced_submissions": self.coalesced,
             "stop_reasons": reasons,
@@ -312,10 +319,11 @@ class RequestTicket:
         return out
 
     def __repr__(self):
+        tally = self._tally()
         return ("RequestTicket(%s..., done=%r, cached=%d, simulated=%d, "
                 "shared=%d)" % (self.key[:12], self.done.is_set(),
-                                self.tally["cached"], self.tally["simulated"],
-                                self.tally["shared"]))
+                                tally["cached"], tally["simulated"],
+                                tally["shared"]))
 
 
 class CharacterisationBroker:
@@ -358,15 +366,11 @@ class CharacterisationBroker:
         race costs duplicate work, never wrong rows.
     lease_poll_s:
         Seconds between store polls for lease-parked batches.
-    registry:
-        The :class:`~repro.obs.metrics.MetricsRegistry` holding the
-        broker's instruments (default: a fresh one).  Its counters are
-        this broker's ledger, so each broker needs its own.
     """
 
     def __init__(self, store, fleet, runner=None, max_inflight_batches=None,
                  max_requests=None, quota=None, leases=None,
-                 lease_poll_s=0.25, registry=None):
+                 lease_poll_s=0.25):
         if max_inflight_batches is not None and max_inflight_batches < 1:
             raise ValueError("max_inflight_batches must be positive or None")
         if max_requests is not None and max_requests < 1:
@@ -395,12 +399,12 @@ class CharacterisationBroker:
         self._item_seconds = None  # EWMA of fleet item wall-clock
         self._ticket_seq = 0
         self._item_seq = 0           # dispatch-order tie-break generator
-        #: The counters are the broker's only ledger.  They change only
-        #: under the broker lock, and ``metrics()``, ``status()`` and the
-        #: Prometheus exposition (rendered under the lock too) all read
-        #: them there, so every snapshot is one consistent instant.
-        self.registry = registry if registry is not None \
-            else obs_metrics.MetricsRegistry()
+        #: The broker's counters, with the fleet's and the lease
+        #: manager's, are the service's only ledger.  The broker's change
+        #: only under the broker lock, and ``metrics()``, ``status()`` and
+        #: the Prometheus exposition (rendered under the lock too) all
+        #: read them there, so every snapshot is one consistent instant.
+        self.registry = obs_metrics.MetricsRegistry()
         stage = self.registry.histogram(
             "repro_stage_seconds",
             "Wall-clock per pipeline stage (simulate includes queue wait; "
@@ -409,56 +413,38 @@ class CharacterisationBroker:
         self._h_simulate = stage.labels(stage="simulate")
         self._h_store_put = stage.labels(stage="store_put")
         self._h_deliver = stage.labels(stage="deliver")
-        self._requests = _children(self.registry.counter(
+        self._requests = self.registry.counter(
             "repro_requests_total", "Requests by lifecycle state "
             "(admitted = past admission control; coalesced add no work)",
-            ("state",)), "admitted", "completed", "failed", "cancelled")
-        self._batches = _children(self.registry.counter(
+            ("state",)).children("admitted", "completed", "failed",
+                                 "cancelled")
+        self._batches = self.registry.counter(
             "repro_batches_total", "Batches answered, by source",
-            ("source",)), "cached", "simulated", "shared", "lease-parked",
-            "released", "delivered")
-        self._rejected = _children(self.registry.counter(
+            ("source",)).children("cached", "simulated", "shared",
+                                  "lease-parked", "released", "delivered")
+        self._rejected = self.registry.counter(
             "repro_rejected_total", "Submits refused at admission",
-            ("reason",)), "saturated", "quota")
-        #: Lease-parked batches a peer answered, or reclaimed and run here.
-        self._lease_outcomes = {
-            name: obs_metrics.Counter(threading.Lock())
-            for name in ("answered", "reclaimed")}
+            ("reason",)).children("saturated", "quota")
+        #: Lease-parked batches a peer answered, or reclaimed and run
+        #: here, count in the lease manager's ledger (or, without
+        #: leases, in an all-zero family of the broker's own).
+        self._lease_events = lease_events(
+            self.registry if leases is None else leases.registry)
         self.registry.callback(
             "repro_batches_in_flight",
-            "Batches queued or executing right now", "gauge",
+            "Batches queued or executing right now",
             lambda: [({}, len(self.resolver.inflight))])
-        self.registry.callback(
-            "repro_lease_events_total",
-            "Cross-replica lease traffic (zero when leases are off)",
-            "counter", self._collect_leases)
-        self.registry.callback(
-            "repro_worker_heartbeat_age_seconds",
-            "Seconds since each fleet worker's last heartbeat", "gauge",
-            self._collect_heartbeats)
-
-    # ------------------------------------------------------------------ #
-    def _collect_leases(self):
-        stats = self.leases.stats() if self.leases is not None else {}
-        return ([({"event": name}, stats.get(name, 0))
-                 for name in ("acquired", "contended", "reclaimed_stale",
-                              "released", "lost")]
-                + [({"event": "parked"}, self._batches["lease-parked"].value)]
-                + [({"event": name}, counter.value)
-                   for name, counter in self._lease_outcomes.items()])
-
-    def _collect_heartbeats(self):
-        now = time.time()
-        return [({"worker": name}, max(0.0, round(now - beat, 3)))
-                for name, beat in sorted(self.fleet.heartbeats().items())]
 
     def prometheus_text(self):
-        """Prometheus text exposition of this broker's registry plus the
-        process-wide one (store/lease instruments), rendered under the
-        broker lock so every family reads one consistent ledger
-        snapshot."""
+        """Prometheus text exposition of every ledger this broker reads —
+        its own registry, the fleet's, the lease manager's — plus the
+        process-wide one (store/lease latency), rendered under the
+        broker lock so every family reads one consistent snapshot."""
+        registries = [self.registry, self.fleet.registry]
+        if self.leases is not None:
+            registries.append(self.leases.registry)
         with self._lock:
-            return obs_metrics.render_prometheus(self.registry,
+            return obs_metrics.render_prometheus(*registries,
                                                  obs_metrics.GLOBAL)
 
     # ------------------------------------------------------------------ #
@@ -855,14 +841,14 @@ class CharacterisationBroker:
         landed, items = self.resolver.poll_parked()
         for item in items:
             self._batches["simulated"].inc()
-            self._lease_outcomes["reclaimed"].inc()
+            self._lease_events["reclaimed"].inc()
             for owner, _ in self.resolver.inflight[item.key].subscribers:
                 span = owner.batch_spans.get(item.key)
                 if span is not None:
                     span.annotate(lease="reclaimed")
         self._submit(items)
         for work in landed:
-            self._lease_outcomes["answered"].inc(len(work.subscribers))
+            self._lease_events["answered"].inc(len(work.subscribers))
             self._fold(work)
 
     # ------------------------------------------------------------------ #
@@ -872,6 +858,7 @@ class CharacterisationBroker:
             return [ticket.progress() for ticket in self._tickets.values()]
 
     def status(self):
+        """The compact service status served by ``GET /v1/status``."""
         with self._lock:
             return {
                 "in_flight_requests": len(self._tickets),
@@ -886,9 +873,11 @@ class CharacterisationBroker:
                 "rejected_quota": self._rejected["quota"].value,
                 "namespaces": sorted(self._views),
                 "fleet": self.fleet.stats(),
+                "store_root": self.store.root,
+                "heartbeats": self.fleet.heartbeats(),
             }
 
-    def metrics(self, extras=None):
+    def metrics(self):
         """The full operational ledger as one stable JSON-able document.
 
         Everything the system already tracks, in one place: admission
@@ -900,17 +889,15 @@ class CharacterisationBroker:
         and cross-replica lease counters, present with a stable shape
         even when the replica runs standalone.  Served by
         ``GET /v1/metrics``; keys are append-only across PRs so scrapers
-        can rely on them.  The numbers are read from the broker's
-        counters, the same ones the Prometheus exposition renders.
+        can rely on them.  The numbers are read from the broker's,
+        fleet's and lease manager's counters, the same ones the
+        Prometheus exposition renders.
 
-        ``extras`` maps additional top-level keys to zero-argument
-        suppliers evaluated **inside the broker lock**, so callers (the
-        :class:`~repro.service.api.Service`) can extend the document
-        without racing the counters: every number in one returned
-        snapshot — including the extras — reflects a single instant, and
-        the balance invariants (``admitted == in_flight + completed +
-        failed + cancelled``; ``delivered <= cached + shared + simulated
-        + leased``) hold in every snapshot.
+        The whole document is assembled inside the broker lock, so every
+        number in one snapshot reflects a single instant, and the
+        balance invariants (``admitted == in_flight + completed + failed
+        + cancelled``; ``delivered <= cached + shared + simulated +
+        leased``) hold in every snapshot.
         """
         with self._lock:
             now = time.monotonic()
@@ -933,7 +920,7 @@ class CharacterisationBroker:
                     "hits": view.hits,
                     "misses": view.misses,
                 }
-            doc = {
+            return {
                 "admission": {
                     "open": self.admission_open,
                     "max_inflight_batches": self.max_inflight_batches,
@@ -962,29 +949,25 @@ class CharacterisationBroker:
                 "fleet": self.fleet.stats(),
                 "stores": stores,
                 "cluster": self._cluster_metrics(),
+                "store_root": self.store.root,
+                "heartbeats": self.fleet.heartbeats(),
             }
-            if extras:
-                for key, supplier in extras.items():
-                    doc[key] = supplier()
-            return doc
 
     def _cluster_metrics(self):
         """The ``cluster`` metrics section (lock held); stable shape."""
-        lease_stats = {"owner": None, "ttl_s": None, "held": 0,
-                       "acquired": 0, "contended": 0, "reclaimed_stale": 0,
-                       "released": 0, "lost": 0}
-        if self.leases is not None:
-            lease_stats.update(self.leases.stats())
-        lease_stats.update({
-            "enabled": self.leases is not None,
-            "waiting": len(self.resolver.parked),
-            "waited": self._batches["lease-parked"].value,
-            "answered": self._lease_outcomes["answered"].value,
-            "reclaimed": self._lease_outcomes["reclaimed"].value,
-        })
-        return {"replica": lease_stats["owner"],
+        leases = self.leases
+        ledger = ({"owner": None, "ttl_s": None, "held": 0}
+                  if leases is None else
+                  {"owner": leases.owner, "ttl_s": leases.ttl_s,
+                   "held": leases.held})
+        for event, child in self._lease_events.items():
+            ledger[event] = child.value
+        ledger.update(enabled=leases is not None,
+                      waiting=len(self.resolver.parked),
+                      waited=self._batches["lease-parked"].value)
+        return {"replica": ledger["owner"],
                 "remote_workers": self.fleet.remote_stats(),
-                "leases": lease_stats}
+                "leases": ledger}
 
     def __repr__(self):
         return ("CharacterisationBroker(in_flight=%d, completed=%d, "
@@ -992,9 +975,3 @@ class CharacterisationBroker:
                 % (len(self._tickets), self._requests["completed"].value,
                    self._batches["simulated"].value))
 
-
-def _children(family, *values):
-    """Every child of a one-label counter family, created up front so
-    each renders (at zero) from the first scrape on."""
-    (label,) = family.labelnames
-    return {value: family.labels(**{label: value}) for value in values}

@@ -51,14 +51,10 @@ import socket
 import threading
 import time
 
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
-
+from repro.analysis.store import _lock, _unlock
 from repro.obs import metrics as obs_metrics
 
-__all__ = ["LeaseManager", "default_replica_id"]
+__all__ = ["LeaseManager", "default_replica_id", "lease_events"]
 
 _logger = logging.getLogger(__name__)
 
@@ -73,21 +69,29 @@ _LEASE_SECONDS = obs_metrics.GLOBAL.histogram(
 #: Directory name used for the lease tree inside a store root.
 LEASE_DIRNAME = "_leases"
 
+#: The lease manager's own events: leases won (reclaims included),
+#: attempts lost to a live holder, stale leases reclaimed, releases, and
+#: held leases found re-owned at refresh.
+_MANAGER_EVENTS = ("acquired", "contended", "reclaimed_stale", "released",
+                   "lost")
+
+
+def lease_events(registry):
+    """The ``repro_lease_events_total`` children in ``registry``: the
+    manager's events plus the broker's outcomes for batches it parked on
+    a peer's lease (``answered`` through the store, or ``reclaimed`` and
+    run here).  All exist from the start, so the family renders at zero
+    in a lease manager's registry or a lease-less broker's."""
+    return registry.counter(
+        "repro_lease_events_total",
+        "Cross-replica lease traffic (zero when leases are off)",
+        ("event",)).children(*_MANAGER_EVENTS, "answered", "reclaimed")
+
 
 def default_replica_id():
     """A replica identity unique across hosts and processes."""
     return "%s-%d-%x" % (socket.gethostname(), os.getpid(),
                          threading.get_ident() & 0xFFFF)
-
-
-def _lock(fd):
-    if fcntl is not None:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-
-
-def _unlock(fd):
-    if fcntl is not None:
-        fcntl.flock(fd, fcntl.LOCK_UN)
 
 
 class LeaseManager:
@@ -121,11 +125,10 @@ class LeaseManager:
         self._mutex = threading.Lock()
         self._held = {}       # (digest, point_key, batch) -> lease path
         self._refreshed = 0.0
-        self.acquired = 0     # leases this replica won (incl. reclaims)
-        self.reclaimed_stale = 0
-        self.contended = 0    # acquire attempts lost to a live holder
-        self.released = 0
-        self.lost = 0         # held leases found re-owned at refresh
+        #: This replica's lease ledger; :meth:`stats` and the broker's
+        #: Prometheus exposition both read it.
+        self.registry = obs_metrics.MetricsRegistry()
+        self._events = lease_events(self.registry)
 
     @classmethod
     def for_store(cls, store_root, owner=None, ttl_s=30.0):
@@ -179,7 +182,7 @@ class LeaseManager:
         fresh lease owned by someone else returns ``False`` — the caller
         should subscribe to the winner's store result and retry after
         :meth:`holder` reports it expired.  A stale lease is reclaimed
-        in place (counted in :attr:`reclaimed_stale`).
+        in place (counted as ``reclaimed_stale``).
         """
         t0 = time.perf_counter()
         won = self._acquire(digest, point_key, batch_index, now=now)
@@ -215,7 +218,7 @@ class LeaseManager:
                     os.close(fd)
                 with self._mutex:
                     self._held[key] = path
-                    self.acquired += 1
+                self._events["acquired"].inc()
                 return True
             # The file exists: examine (and maybe reclaim) it under flock.
             try:
@@ -234,8 +237,7 @@ class LeaseManager:
                             self._held[key] = path
                         return True
                     if not self._expired(record, now):
-                        with self._mutex:
-                            self.contended += 1
+                        self._events["contended"].inc()
                         return False
                     if record is None and \
                             now - os.fstat(fd).st_mtime <= self.ttl_s:
@@ -247,15 +249,14 @@ class LeaseManager:
                         # the lease to both replicas — contend instead.
                         # A crashed creator's empty file ages past the
                         # TTL and is then reclaimed like any stale lease.
-                        with self._mutex:
-                            self.contended += 1
+                        self._events["contended"].inc()
                         return False
                     # Stale (or unparseable): reclaim in place.
                     self._stamp(fd, now)
                     with self._mutex:
                         self._held[key] = path
-                        self.acquired += 1
-                        self.reclaimed_stale += 1
+                    self._events["acquired"].inc()
+                    self._events["reclaimed_stale"].inc()
                     _logger.info(
                         "reclaimed stale lease %s (was %r)", path,
                         (record or {}).get("owner"))
@@ -300,9 +301,8 @@ class LeaseManager:
         of the last refresh are no-ops, so the broker can call this from
         every pump without thinking about cadence.  A held lease found
         re-owned by someone else (we stalled past the TTL and they
-        reclaimed) is dropped from the held set and counted in
-        :attr:`lost` — the winner's result will land in the store just
-        the same.
+        reclaimed) is dropped from the held set and counted as ``lost``
+        — the winner's result will land in the store just the same.
         """
         now = time.time() if now is None else now
         interval = self.ttl_s / 3.0 if min_interval_s is None \
@@ -319,7 +319,7 @@ class LeaseManager:
             except OSError:
                 with self._mutex:
                     self._held.pop(key, None)
-                    self.lost += 1
+                self._events["lost"].inc()
                 continue
             try:
                 _lock(fd)
@@ -329,7 +329,7 @@ class LeaseManager:
                             or record.get("owner") != self.owner:
                         with self._mutex:
                             self._held.pop(key, None)
-                            self.lost += 1
+                        self._events["lost"].inc()
                         continue
                     self._stamp(fd, now)
                     refreshed += 1
@@ -368,8 +368,7 @@ class LeaseManager:
                 except OSError as exc:  # pragma: no cover - races only
                     if exc.errno != errno.ENOENT:
                         raise
-                with self._mutex:
-                    self.released += 1
+                self._events["released"].inc()
                 return True
             finally:
                 _unlock(fd)
@@ -395,17 +394,10 @@ class LeaseManager:
 
     def stats(self):
         """Counters for the ``/v1/metrics`` cluster ledger."""
-        with self._mutex:
-            return {
-                "owner": self.owner,
-                "ttl_s": self.ttl_s,
-                "held": len(self._held),
-                "acquired": self.acquired,
-                "contended": self.contended,
-                "reclaimed_stale": self.reclaimed_stale,
-                "released": self.released,
-                "lost": self.lost,
-            }
+        stats = {"owner": self.owner, "ttl_s": self.ttl_s, "held": self.held}
+        for event in _MANAGER_EVENTS:
+            stats[event] = self._events[event].value
+        return stats
 
     def __repr__(self):
         return "LeaseManager(%r, owner=%r, held=%d)" % (

@@ -60,6 +60,7 @@ import threading
 import time
 
 from repro.analysis.adaptive import capture_result
+from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
 __all__ = ["FleetError", "WorkerFleet", "WorkerHandle"]
@@ -185,13 +186,12 @@ class WorkerHandle:
         self.name = name
         self.remote = remote
         self.detached = False
-        self.completed = 0
+        self._completed = fleet._worker_items.labels(worker=name)
         self._item = None
         self._touch()
 
     def _touch(self):
-        self.last_beat = time.monotonic()  # for the watchdog
-        self.last_seen = time.time()  # for heartbeats()
+        self.last_beat = time.monotonic()
 
     # ------------------------------------------------------------------ #
     @property
@@ -252,9 +252,9 @@ class WorkerHandle:
                 return False
             self._item = None
             fleet._inflight.pop(item.seq, None)
-            self.completed += 1
+            self._completed.inc()
             if self.remote:
-                fleet.remote_completed += 1
+                fleet._remote_events["completed"].inc()
             self._touch()
             fleet._finish(item, result, error)
             if self.remote:
@@ -291,8 +291,10 @@ class WorkerHandle:
             workers = fleet._remote if self.remote else fleet._local
             if workers.get(self.name) is self:
                 del workers[self.name]
+                # A worker re-attaching under this name counts afresh.
+                fleet._worker_items.remove(worker=self.name)
             if self.remote:
-                fleet.remote_detached += 1
+                fleet._remote_events["detached"].inc()
             item, self._item = self._item, None
             if item is not None:
                 fleet._inflight.pop(item.seq, None)
@@ -309,9 +311,9 @@ class WorkerHandle:
                         % (lost, item.batch.label(), item.attempts,
                            "giving up" if requeue else "not requeued"))
                 else:
-                    fleet.retried += 1
+                    fleet._items["retried"].inc()
                     if self.remote:
-                        fleet.remote_requeued += 1
+                        fleet._remote_events["requeued"].inc()
                     heapq.heappush(fleet._heap,
                                    (item.priority, item.seq, item))
                     fleet._queued[item.item_id] = item
@@ -320,8 +322,8 @@ class WorkerHandle:
 
     def __repr__(self):
         return ("WorkerHandle(%r, executing=%r, completed=%d, "
-                "detached=%r)" % (self.name, self.executing, self.completed,
-                                  self.detached))
+                "detached=%r)" % (self.name, self.executing,
+                                  self._completed.value, self.detached))
 
 
 class WorkerFleet:
@@ -380,11 +382,28 @@ class WorkerFleet:
             compute_slots or max(os.cpu_count() or 1, 1),
         )
         self._compute_gate = threading.BoundedSemaphore(self.compute_slots)
-        self.submitted = 0
-        self.completed = 0
-        self.cancelled = 0
-        self.retried = 0
-        self.restarted = 0
+        #: The fleet's only ledger: :meth:`stats`, :meth:`remote_stats`
+        #: and the broker's Prometheus exposition all read these children.
+        self.registry = obs_metrics.MetricsRegistry()
+        counter = self.registry.counter
+        self._items = counter(
+            "repro_fleet_items_total", "Fleet work items by lifecycle event",
+            ("event",)).children("submitted", "completed", "cancelled",
+                                 "retried")
+        self._restarted = counter("repro_fleet_workers_restarted_total",
+                                  "Process workers replaced").unlabelled
+        self._remote_events = counter(
+            "repro_fleet_remote_events_total", "Remote-worker attaches, "
+            "detaches, completed items and requeued items", ("event",)
+        ).children("attached", "detached", "completed", "requeued")
+        self._worker_items = counter("repro_fleet_worker_items_total",
+                                     "Items each live worker completed",
+                                     ("worker",))
+        self.registry.callback(
+            "repro_worker_heartbeat_age_seconds",
+            "Seconds since each fleet worker's last heartbeat",
+            lambda: [({"worker": name}, round(age, 3))
+                     for name, age in self.heartbeats().items()])
         self._seq = itertools.count()
         self._lock = threading.Condition()
         self._heap = []            # (priority, seq, _Item)
@@ -398,10 +417,6 @@ class WorkerFleet:
         self._worker_ids = itertools.count()
         self._local = {}           # worker name -> WorkerHandle, this host
         self._remote = {}          # worker name -> WorkerHandle, attached
-        self.remote_attached = 0
-        self.remote_detached = 0
-        self.remote_completed = 0
-        self.remote_requeued = 0
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -476,7 +491,7 @@ class WorkerFleet:
                          tuple(priority), trace=trace)
             heapq.heappush(self._heap, (item.priority, item.seq, item))
             self._queued[item_id] = item
-            self.submitted += 1
+            self._items["submitted"].inc()
             self._lock.notify_all()
         return item.item_id
 
@@ -498,7 +513,7 @@ class WorkerFleet:
             # Stale heap entries are skipped at pop time, exactly like a
             # promotion's superseded duplicates.
             item.delivered = True
-            self.cancelled += 1
+            self._items["cancelled"].inc()
             return True
 
     def promote(self, item_id, priority):
@@ -561,7 +576,7 @@ class WorkerFleet:
                 raise FleetError("fleet is not running; start() it first")
             handle = WorkerHandle(self, name, remote=True)
             self._remote[name] = handle
-            self.remote_attached += 1
+            self._remote_events["attached"].inc()
             return handle
 
     def remote_handle(self, name):
@@ -572,23 +587,24 @@ class WorkerFleet:
     def remote_stats(self):
         """The remote-worker ledger for the ``/v1/metrics`` document."""
         now = time.monotonic()
+        events = self._remote_events
         with self._lock:
             workers = {
                 handle.name: {
                     "alive": True,
                     "last_seen_s": round(handle.idle_s(now), 3),
                     "executing": handle.executing,
-                    "completed": handle.completed,
+                    "completed": handle._completed.value,
                 }
                 for handle in sorted(self._remote.values(),
                                      key=lambda h: h.name)
             }
             return {
                 "attached": workers,
-                "attached_total": self.remote_attached,
-                "detached_total": self.remote_detached,
-                "completed": self.remote_completed,
-                "requeued": self.remote_requeued,
+                "attached_total": events["attached"].value,
+                "detached_total": events["detached"].value,
+                "completed": events["completed"].value,
+                "requeued": events["requeued"].value,
             }
 
     @property
@@ -632,33 +648,38 @@ class WorkerFleet:
     @property
     def pending(self):
         """Items submitted but neither completed nor cancelled."""
-        return self.submitted - self.completed - self.cancelled
+        items = self._items
+        return (items["submitted"].value - items["completed"].value
+                - items["cancelled"].value)
 
-    def heartbeats(self, now=None):
+    def heartbeats(self):
         """Seconds since each worker was last seen alive."""
-        now = time.time() if now is None else now
+        now = time.monotonic()
         with self._lock:
             handles = list(self._local.values()) + list(self._remote.values())
-        return {handle.name: now - handle.last_seen
+        return {handle.name: handle.idle_s(now)
                 for handle in sorted(handles, key=lambda h: h.name)}
 
     def stats(self):
-        return {
-            "backend": self.backend,
-            "workers": self.workers,
-            "compute_slots": self.compute_slots,
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "cancelled": self.cancelled,
-            "pending": self.pending,
-            "queued": len(self._queued),
-            "executing": len(self._inflight),
-            "retried": self.retried,
-            "workers_restarted": self.restarted,
-            "remote_workers": len(self._remote),
-            "remote_completed": self.remote_completed,
-            "remote_requeued": self.remote_requeued,
-        }
+        """The fleet section of ``/v1/metrics`` and ``/v1/status``."""
+        items, remote = self._items, self._remote_events
+        with self._lock:
+            return {
+                "backend": self.backend,
+                "workers": self.workers,
+                "compute_slots": self.compute_slots,
+                "submitted": items["submitted"].value,
+                "completed": items["completed"].value,
+                "cancelled": items["cancelled"].value,
+                "pending": self.pending,
+                "queued": len(self._queued),
+                "executing": len(self._inflight),
+                "retried": items["retried"].value,
+                "workers_restarted": self._restarted.value,
+                "remote_workers": len(self._remote),
+                "remote_completed": remote["completed"].value,
+                "remote_requeued": remote["requeued"].value,
+            }
 
     def _finish(self, item, result, error):
         """Deliver one item's result, exactly once (called under the lock).
@@ -677,7 +698,7 @@ class WorkerFleet:
             _logger.warning("work item %s failed: %s", item.batch.label(),
                             error)
             result = {"error": error.splitlines()[0]}
-        self.completed += 1
+        self._items["completed"].inc()
         self._done.put((item.item_id, result))
 
     # ------------------------------------------------------------------ #
@@ -755,7 +776,7 @@ class WorkerFleet:
             with self._lock:
                 if self._stopping:
                     return
-                self.restarted += 1
+                self._restarted.inc()
                 handle = self._new_local("fleet-proc")
             proc, conn = self._spawn_child(handle.name)
         try:
@@ -797,4 +818,4 @@ class WorkerFleet:
     def __repr__(self):
         return ("WorkerFleet(backend=%r, workers=%d, pending=%d, "
                 "completed=%d)" % (self.backend, self.workers, self.pending,
-                                   self.completed))
+                                   self._items["completed"].value))

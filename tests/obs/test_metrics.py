@@ -86,15 +86,40 @@ class TestFamilies:
             registry.counter("t_total", "x", labelnames=("le gume",))
 
     def test_callbacks_replace_but_never_shadow_direct(self, registry):
-        registry.callback("t_cb", "x", "gauge", lambda: [({}, 1)])
-        registry.callback("t_cb", "x", "gauge", lambda: [({}, 2)])
+        registry.callback("t_cb", "x", lambda: [({}, 1)])
+        registry.callback("t_cb", "x", lambda: [({}, 2)])
         parsed = parse_exposition(registry.render())
         assert parsed["t_cb"]["samples"] == [("t_cb", {}, 2.0)]
+        # A callback is always a gauge: counts live in one child each.
+        assert parsed["t_cb"]["type"] == "gauge"
         registry.counter("t_direct", "x")
         with pytest.raises(ValueError, match="direct family"):
-            registry.callback("t_direct", "x", "gauge", lambda: [])
-        with pytest.raises(ValueError, match="counter or gauge"):
-            registry.callback("t_h", "x", "histogram", lambda: [])
+            registry.callback("t_direct", "x", lambda: [])
+
+    def test_children_are_created_up_front_and_render_at_zero(
+            self, registry):
+        events = registry.counter("t_events_total", "x",
+                                  labelnames=("event",)).children("a", "b")
+        events["b"].inc()
+        parsed = parse_exposition(registry.render())
+        assert parsed["t_events_total"]["samples"] == [
+            ("t_events_total", {"event": "a"}, 0.0),
+            ("t_events_total", {"event": "b"}, 1.0)]
+        assert registry.counter("t_events_total", "x", labelnames=(
+            "event",)).children("a")["a"] is events["a"]
+
+    def test_removed_children_stop_rendering_and_restart_at_zero(
+            self, registry):
+        family = registry.counter("t_items_total", "x",
+                                  labelnames=("worker",))
+        family.labels(worker="w0").inc(3)
+        family.labels(worker="w1").inc()
+        family.remove(worker="w0")
+        family.remove(worker="never-seen")  # a quiet no-op
+        parsed = parse_exposition(registry.render())
+        assert parsed["t_items_total"]["samples"] == [
+            ("t_items_total", {"worker": "w1"}, 1.0)]
+        assert family.labels(worker="w0").value == 0
 
 
 class TestRendering:
@@ -108,7 +133,7 @@ class TestRendering:
                            buckets=(0.1, 1.0)).labels(
                                stage="decode").observe(0.5)
         registry.callback("t_heartbeat_age_seconds", "Heartbeat age.",
-                          "gauge", lambda: [({"worker": "w0"}, 1.5)])
+                          lambda: [({"worker": "w0"}, 1.5)])
         text = registry.render()
         parsed = parse_exposition(text)
         assert parsed["t_requests_total"]["type"] == "counter"

@@ -125,7 +125,7 @@ class TestStoreIntegration:
         req = request([4.0, 6.0])
         cold = broker.submit(req)
         pump_until_done(broker, [cold])
-        submitted_before = broker.fleet.submitted
+        submitted_before = broker.fleet.stats()["submitted"]
 
         warm = broker.submit(request([4.0, 6.0]))
         # No pumping: every batch came from the store synchronously.
@@ -135,7 +135,7 @@ class TestStoreIntegration:
         progress = warm.progress()
         assert progress["batches_simulated"] == 0
         assert progress["batches_cached"] == progress["batches"]
-        assert broker.fleet.submitted == submitted_before
+        assert broker.fleet.stats()["submitted"] == submitted_before
         assert progress["time_to_first_row_s"] < 1.0
 
     def test_tighter_request_resumes_at_the_missing_batches(self, broker):

@@ -125,7 +125,7 @@ class TestLeaseManager:
         assert a.acquire(*self.KEY, now=100.0) is True
         assert b.acquire(*self.KEY, now=101.0) is False
         assert a.held == 1 and b.held == 0
-        assert a.acquired == 1 and b.contended == 1
+        assert a.stats()["acquired"] == 1 and b.stats()["contended"] == 1
         holder = b.holder(*self.KEY, now=101.0)
         assert holder["owner"] == "a"
         assert holder["expires_in_s"] == pytest.approx(29.0)
@@ -144,10 +144,10 @@ class TestLeaseManager:
         assert a.acquire(*self.KEY, now=100.0)
         assert b.acquire(*self.KEY, now=105.0) is False
         assert b.acquire(*self.KEY, now=111.0) is True  # past a's TTL
-        assert b.reclaimed_stale == 1 and b.held == 1
+        assert b.stats()["reclaimed_stale"] == 1 and b.held == 1
         # The original owner discovers the loss at refresh time.
         assert a.refresh(now=200.0, min_interval_s=0.0) == 0
-        assert a.lost == 1 and a.held == 0
+        assert a.stats()["lost"] == 1 and a.held == 0
         # ... and must not unlink the new owner's lease.
         assert a.release(*self.KEY) is False
         assert b.holder(*self.KEY, now=111.0)["owner"] == "b"
@@ -160,7 +160,7 @@ class TestLeaseManager:
             handle.write("not json {")  # a crash mid-write
         os.utime(path, (0.0, 0.0))  # aged past any TTL
         assert a.acquire(*self.KEY, now=100.0) is True
-        assert a.reclaimed_stale == 1
+        assert a.stats()["reclaimed_stale"] == 1
 
     def test_young_unreadable_lease_file_is_contended_not_reclaimed(
             self, tmp_path):
@@ -175,18 +175,19 @@ class TestLeaseManager:
             pass  # empty: exactly what a mid-creation examiner sees
         now = time.time()
         assert a.acquire(*self.KEY, now=now) is False
-        assert a.contended == 1 and a.reclaimed_stale == 0
+        assert a.stats()["contended"] == 1
+        assert a.stats()["reclaimed_stale"] == 0
         # The same file aged past the TTL is a crashed creator: reclaim.
         os.utime(path, (now - 31.0, now - 31.0))
         assert a.acquire(*self.KEY, now=now) is True
-        assert a.reclaimed_stale == 1
+        assert a.stats()["reclaimed_stale"] == 1
 
     def test_release_unlinks_only_our_lease(self, tmp_path):
         a = LeaseManager(tmp_path, owner="a", ttl_s=30.0)
         assert a.release(*self.KEY) is False  # never held: a quiet no-op
         assert a.acquire(*self.KEY, now=100.0)
         assert a.release(*self.KEY) is True
-        assert a.released == 1 and a.held == 0
+        assert a.stats()["released"] == 1 and a.held == 0
         assert a.holder(*self.KEY, now=100.0) is None
         assert not os.path.exists(a._path(*self.KEY))
 
@@ -445,8 +446,8 @@ class TestRemoteWorkerHandle:
         assert item is not None and item.item_id == "job"
         assert handle.executing
         assert handle.complete(item.seq, {"errors": 1, "trials": 400}) is True
-        assert not handle.executing and handle.completed == 1
-        assert fleet.remote_completed == 1
+        assert not handle.executing
+        assert fleet.stats()["remote_completed"] == 1
         results = fleet.poll(timeout=5.0)
         assert ("job", {"errors": 1, "trials": 400}) in results
         stats = fleet.remote_stats()
@@ -460,7 +461,8 @@ class TestRemoteWorkerHandle:
         item = handle.next_task(timeout=5.0)
         assert handle.detach(requeue=True) is True  # presumed dead
         assert handle.detach(requeue=True) is False  # idempotent
-        assert fleet.remote_requeued == 1 and fleet.retried == 1
+        assert fleet.stats()["remote_requeued"] == 1
+        assert fleet.stats()["retried"] == 1
         # The stale completion must be refused: the item may already be
         # re-executing elsewhere.
         assert handle.complete(item.seq, {"errors": 0, "trials": 400}) is False
@@ -499,7 +501,7 @@ class TestRemoteWorkerHandle:
         second = fleet.register_remote("w")  # latest attach wins
         assert first.detached and not second.detached
         assert fleet.remote_handle("w") is second
-        assert fleet.remote_requeued == 1
+        assert fleet.stats()["remote_requeued"] == 1
         retried = second.next_task(timeout=5.0)
         assert retried is not None and retried.item_id == "job"
         assert second.complete(retried.seq, {"errors": 0, "trials": 400})
@@ -516,7 +518,7 @@ class TestRemoteWorkerHandle:
         assert handle.beat() is True  # a beat keeps it alive...
         assert fleet.reap_overdue_remotes(10.0) == 0
         assert fleet.reap_overdue_remotes(0.0) == 1  # ...but not forever
-        assert handle.detached and fleet.remote_requeued == 1
+        assert handle.detached and fleet.stats()["remote_requeued"] == 1
         assert handle.beat() is False
 
 
@@ -545,8 +547,9 @@ class TestRemoteWorkerHTTP:
             ticket = service.submit(request())
             rows = ticket.result(timeout=120)
             assert rows == request().experiment().run(SweepExecutor("serial"))
-            assert service.fleet.remote_completed >= 1
-            assert agent.completed == service.fleet.remote_completed
+            remote_completed = service.fleet.stats()["remote_completed"]
+            assert remote_completed >= 1
+            assert agent.completed == remote_completed
             metrics = service.metrics()
             remote = metrics["cluster"]["remote_workers"]
             assert remote["attached"]["hands"]["completed"] >= 1
@@ -589,14 +592,14 @@ class TestRemoteWorkerHTTP:
                 lambda: service.fleet.remote_handle("doomed") is not None,
                 message="the doomed agent never attached")
             ticket = service.submit(request([4.0]))
-            _wait_until(lambda: service.fleet.remote_requeued >= 1,
+            _wait_until(lambda: service.fleet.stats()["remote_requeued"] >= 1,
                         message="the dead agent's item was never requeued")
             assert proc.wait(timeout=30) == 9
             gate.set()  # free the local worker to run the requeued item
             rows = ticket.result(timeout=120)
             assert rows == request([4.0]).experiment().run(
                 SweepExecutor("serial"))
-            assert service.fleet.retried >= 1
+            assert service.fleet.stats()["retried"] >= 1
         finally:
             if proc.poll() is None:
                 proc.kill()

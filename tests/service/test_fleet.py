@@ -10,6 +10,7 @@ mid-batch, with numpy-array payloads riding the pipes both ways.
 import logging
 import multiprocessing
 import os
+import sys
 import threading
 import time
 
@@ -18,6 +19,7 @@ import pytest
 
 from repro.analysis.adaptive import MeasurementBatch, run_link_ber_batch
 from repro.analysis.sweep import SweepSpec
+from repro.obs import parse_exposition
 from repro.service.fleet import FleetError, WorkerFleet
 
 pytestmark = pytest.mark.skipif(
@@ -75,6 +77,10 @@ def _kill_once_runner(batch):
         os._exit(13)  # no exception, no cleanup: a genuine worker death
     return dict(run_link_ber_batch(batch),
                 echo=2.0 * batch.point.params["data"])
+
+
+def _echo_runner(item):
+    return item
 
 
 def _array_runner(batch):
@@ -251,6 +257,31 @@ class TestThreadFleet:
             beats = fleet.heartbeats()
             assert len(beats) == 2
             assert all(age < 60.0 for age in beats.values())
+
+    def test_ledger_loses_no_update_under_contention(self):
+        # More workers than cores, a tiny switch interval, and items that
+        # do nothing but finish: every completion increments registry
+        # children from a different thread, so a lost update would break
+        # the balance below.
+        items = 400
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with WorkerFleet(workers=8, backend="thread",
+                             heartbeat_s=0.05) as fleet:
+                for index in range(items):
+                    fleet.submit(index, _echo_runner, index)
+                results = drain(fleet, items)
+                stats = fleet.stats()
+                per_worker = parse_exposition(fleet.registry.render())[
+                    "repro_fleet_worker_items_total"]["samples"]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == {index: {"result": index}
+                           for index in range(items)}
+        assert stats["submitted"] == stats["completed"] == items
+        assert stats["pending"] == 0
+        assert sum(value for _, _, value in per_worker) == items
 
     def test_submit_requires_a_running_fleet(self):
         fleet = WorkerFleet(workers=1, backend="thread")

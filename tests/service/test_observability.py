@@ -8,7 +8,9 @@ The tentpole contracts under test:
   traced vs untraced;
 * ``broker.metrics()`` snapshots balance under concurrent load, and
   ``GET /v1/metrics?format=prometheus`` parses under the strict
-  text-format validator while the JSON document keeps its shape.
+  text-format validator while the JSON document keeps its shape;
+* every counter has one ledger: the JSON document and the exposition
+  read the same registry children, so they agree number for number.
 """
 
 import io
@@ -19,7 +21,8 @@ import urllib.request
 
 import pytest
 
-from repro.analysis.adaptive import StopRule, run_link_ber_batch
+from repro.analysis.adaptive import (StopRule, capture_result,
+                                     run_link_ber_batch)
 from repro.analysis.scenario import Scenario
 from repro.analysis.store import ResultStore
 from repro.analysis.sweep import SweepExecutor
@@ -63,6 +66,19 @@ def _serve_in_thread(service):
     thread.start()
     host, port = server.server_address[:2]
     return server, thread, "http://%s:%d" % (host, port)
+
+
+def _wait_until(predicate, timeout=60.0, message="condition never held"):
+    deadline = time.time() + timeout
+    while not predicate():
+        assert time.time() < deadline, message
+        time.sleep(0.02)
+
+
+def _samples(parsed, family, label):
+    """``{label value: sample value}`` of a one-label family."""
+    return {labels[label]: value
+            for _, labels, value in parsed[family]["samples"]}
 
 
 def _request_traces(sink):
@@ -274,11 +290,11 @@ class TestMetricsConsistency:
         assert final["requests"]["admitted"] == 4
         assert final["requests"]["completed"] == 4
 
-    def test_metrics_extras_are_snapshotted_under_the_lock(self, tmp_path):
+    def test_metrics_carries_store_root_and_heartbeats(self, tmp_path):
         with Service(ResultStore(tmp_path / "store"), workers=2) as service:
             service.characterise(request(), timeout=120)
             doc = service.metrics()
-        # The Service-level extras keep their historical top-level keys.
+        # The service-level keys keep their historical top-level place.
         assert doc["store_root"] == service.store.root
         assert isinstance(doc["heartbeats"], dict)
         assert doc["requests"]["admitted"] == 1
@@ -314,8 +330,16 @@ class TestPrometheusEndpoint:
                        "repro_batches_in_flight", "repro_stage_seconds",
                        "repro_lease_events_total",
                        "repro_worker_heartbeat_age_seconds",
-                       "repro_store_seconds"):
+                       "repro_store_seconds", "repro_fleet_items_total",
+                       "repro_fleet_workers_restarted_total",
+                       "repro_fleet_remote_events_total",
+                       "repro_fleet_worker_items_total"):
             assert family in parsed, "missing family %s" % family
+        # A lease-less replica still renders the lease family, at zero.
+        leases = _samples(parsed, "repro_lease_events_total", "event")
+        assert set(leases) == {"acquired", "contended", "reclaimed_stale",
+                               "released", "lost", "answered", "reclaimed"}
+        assert not any(leases.values())
         states = {labels.get("state")
                   for _, labels, _ in parsed["repro_requests_total"]["samples"]}
         assert "completed" in states
@@ -327,5 +351,102 @@ class TestPrometheusEndpoint:
                   parsed["repro_stage_seconds"]["samples"]
                   if name == "repro_stage_seconds_bucket"}
         assert {"simulate", "store_put", "deliver"} <= stages
-        ages = parsed["repro_worker_heartbeat_age_seconds"]["samples"]
-        assert len(ages) == 2  # one gauge per fleet worker
+        ages = _samples(parsed, "repro_worker_heartbeat_age_seconds",
+                        "worker")
+        assert set(ages) == set(doc["heartbeats"])  # one per fleet worker
+        for worker, age in ages.items():
+            # An age, not a timestamp: near the JSON document's reading
+            # of the same worker, taken a moment earlier.
+            assert age >= 0.0
+            assert abs(age - doc["heartbeats"][worker]) \
+                <= 3 * service.fleet.heartbeat_s
+
+
+class TestSingleLedger:
+    def test_json_and_prometheus_agree_on_every_counter(self, tmp_path):
+        gate = threading.Event()
+
+        def parked(batch):
+            gate.wait(30.0)
+            return {"errors": 0, "trials": 1}
+
+        class _Scratch:
+            label = staticmethod(lambda: "hold")
+            num_packets = 0
+
+        with Service(ResultStore(tmp_path / "store"), workers=1,
+                     poll_s=0.02, lease_ttl_s=10.0,
+                     replica_id="r1") as service:
+            fleet = service.fleet
+            # Park the only local worker so the request's batches wait
+            # for the remote handles below.
+            fleet.submit("hold", parked, _Scratch())
+            _wait_until(lambda: len(fleet._inflight) == 1)
+            ticket = service.submit(request())
+            doomed = service.submit(request((12.0, 14.0)))
+            # A remote worker lost mid-item: the item is requeued.
+            lost = fleet.register_remote("lost")
+            item = lost.next_task(timeout=5.0)
+            assert item is not None
+            assert lost.detach(requeue=True)
+            # Another remote worker completes an item.
+            hands = fleet.register_remote("hands")
+            item = hands.next_task(timeout=5.0)
+            assert item is not None
+            assert hands.complete(item.seq,
+                                  *capture_result(item.runner, item.batch))
+            assert service.cancel(doomed.key)
+            gate.set()
+            ticket.result(timeout=120)
+            _wait_until(lambda: fleet.stats()["pending"] == 0
+                        and service.status()["inflight_batches"] == 0,
+                        message="the service never went idle")
+            doc = service.metrics()
+            parsed = parse_exposition(service.prometheus_text())
+
+        # The scenario moved the counters this test exists for.
+        assert doc["fleet"]["retried"] >= 1
+        assert doc["fleet"]["remote_requeued"] >= 1
+        assert doc["fleet"]["remote_completed"] >= 1
+        assert doc["requests"]["cancelled"] == 1
+        assert doc["cluster"]["leases"]["acquired"] >= 1
+
+        requests = _samples(parsed, "repro_requests_total", "state")
+        for state in ("admitted", "completed", "failed", "cancelled"):
+            assert doc["requests"][state] == requests[state], state
+        batches = _samples(parsed, "repro_batches_total", "source")
+        for key, source in (("simulated", "simulated"), ("cached", "cached"),
+                            ("shared", "shared"), ("released", "released"),
+                            ("leased", "lease-parked"),
+                            ("delivered", "delivered")):
+            assert doc["batches"][key] == batches[source], key
+        rejected = _samples(parsed, "repro_rejected_total", "reason")
+        for reason in ("saturated", "quota"):
+            assert doc["admission"]["rejected_" + reason] == rejected[reason]
+
+        items = _samples(parsed, "repro_fleet_items_total", "event")
+        for event in ("submitted", "completed", "cancelled", "retried"):
+            assert doc["fleet"][event] == items[event], event
+        ((_, _, restarted),) = \
+            parsed["repro_fleet_workers_restarted_total"]["samples"]
+        assert doc["fleet"]["workers_restarted"] == restarted
+        remote = _samples(parsed, "repro_fleet_remote_events_total", "event")
+        assert doc["fleet"]["remote_completed"] == remote["completed"]
+        assert doc["fleet"]["remote_requeued"] == remote["requeued"]
+        ledger = doc["cluster"]["remote_workers"]
+        for key, event in (("attached_total", "attached"),
+                           ("detached_total", "detached"),
+                           ("completed", "completed"),
+                           ("requeued", "requeued")):
+            assert ledger[key] == remote[event], key
+        per_worker = _samples(parsed, "repro_fleet_worker_items_total",
+                              "worker")
+        assert set(ledger["attached"]) == {"hands"}
+        assert ledger["attached"]["hands"]["completed"] \
+            == per_worker["hands"] == 1
+
+        leases = _samples(parsed, "repro_lease_events_total", "event")
+        for event in ("acquired", "contended", "reclaimed_stale", "released",
+                      "lost", "answered", "reclaimed"):
+            assert doc["cluster"]["leases"][event] == leases[event], event
+        assert doc["cluster"]["leases"]["waited"] == batches["lease-parked"]
