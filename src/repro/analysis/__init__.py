@@ -43,7 +43,7 @@ grid as a :class:`SweepSpec`, and run both through an
     # StopRule simulates only the batches the first run never needed.
 
 ``stop=None`` selects fixed depth (``num_packets`` per point, the mode
-wall-clock-pinned perf benchmarks need).
+the fixed-depth figure benchmarks under ``benchmarks/`` use).
 
 For serve-curves-on-demand deployments, :mod:`repro.service` runs this
 stack as a long-lived daemon: a broker dedupes requests against the
@@ -63,8 +63,8 @@ backend (serial or process), worker count and dispatch order, because each
 point's random stream is derived from the spec's master seed keyed by the
 point's axis coordinates.  ``REPRO_SWEEP_WORKERS=N`` shards any
 executor-driven sweep across ``N`` processes without changing a bit of the
-output.  This is the mode for wall-clock-pinned perf benchmarks, where the
-work per point must cost the same everywhere.
+output.  This is the mode for the fixed-depth figure benchmarks under
+``benchmarks/``, where every point must simulate the same packets.
 
 **Adaptive depth** — wrap the measurement in the
 :mod:`~repro.analysis.adaptive` subsystem.  Points run in fixed-size,

@@ -58,13 +58,11 @@ for the Figure-6-style link workload.
 """
 
 import math
-import time
 import traceback
 
 import numpy as np
 
 from repro.analysis.ber_stats import BerMeasurement
-from repro.obs.phases import get_phase_hook
 from repro.analysis.sweep import SweepError
 
 #: Looseness denominator floor when a rule has no ``ber_floor``: keeps the
@@ -765,21 +763,11 @@ def run_link_ber_batch(batch):
     simulator = link_simulator_for_params(
         batch.point.params, seed=batch.seed, point_seed=batch.point.seed
     )
-    # Phase hook: the per-batch path runs the whole chain inside the
-    # simulator, so it reports as one "link-simulate" phase (the fused
-    # path reports its stages individually — see repro.analysis.fused).
-    hook = get_phase_hook()
-    if hook is not None:
-        phase_ts = time.time()
-        phase_t0 = time.perf_counter()
     result = simulator.run(
         batch.num_packets,
         batch_size=int(batch.point.params.get("batch_size", batch.num_packets)),
         start_index=batch.first_packet_index,
     )
-    if hook is not None:
-        hook("link-simulate", phase_ts, time.perf_counter() - phase_t0,
-             {"packets": batch.num_packets})
     return {
         "errors": int(result.bit_errors.sum()),
         "trials": int(result.num_bits),

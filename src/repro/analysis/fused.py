@@ -7,16 +7,13 @@ measured per-packet sweet spot (see
 :data:`repro.analysis.link.FUSED_PACKET_TARGET`).  This module groups the
 batches of a round that share a *link configuration shape* (same rate,
 decoder, packet size, LLR format, demapper scaling and precision policy —
-differing only in SNR and fading) and pushes each group through the PHY
-chain as one tensor pass:
-
-* one payload-bit concatenation and one :meth:`Transmitter.transmit_batch`,
-* per-batch channel application (each batch keeps its own noise generator
-  and fading trace — the RNG streams are *never* fused),
-* one :meth:`Receiver.front_end_batch` with a per-packet ``llr_scale``
-  array standing in for the per-point scaled demappers,
-* one chunked :meth:`Receiver.decode_batch` sized to the decoder's
-  sweet spot.
+differing only in SNR and fading) and pushes each group through
+:func:`repro.analysis.link.run_chain` as one call: one segment per member
+batch, each with its own payload bits, its own noise generator and fading
+trace (the RNG streams are *never* fused), and a per-packet ``llr_scale``
+standing in for the per-point scaled demappers.  What stays here is the
+per-batch derivation of those draws and the split of the decoded bits
+back into per-batch counts.
 
 Bit-exactness contract
 ----------------------
@@ -25,7 +22,8 @@ produces **bit-for-bit** the counts the per-batch path
 (:func:`repro.analysis.adaptive.run_link_ber_batch`) produces, because
 
 * every chain kernel is row-independent, so concatenating packets along the
-  batch axis cannot change any row's value;
+  batch axis, and chunking the decode anywhere, cannot change any row's
+  value;
 * payload bits and noise are still drawn per batch from the batch's own
   derived generators (the chunk-invariant streams the store keys encode);
 * the scaled demapper's per-point ``Es/N0 * S_modulation`` factor is
@@ -36,13 +34,12 @@ Under float32 the fused and per-batch paths are both approximate and agree
 to tolerance only (see :mod:`repro.phy.dtype`).
 """
 
-import time
+from functools import partial
 
 import numpy as np
 
-from repro.analysis.link import FUSED_PACKET_TARGET
+from repro.analysis.link import FUSED_PACKET_TARGET, ChainSegment, run_chain
 from repro.analysis.sweep import _resolve_fading, _resolve_llr_format
-from repro.obs.phases import get_phase_hook
 from repro.channel.awgn import awgn_batch
 from repro.phy.demapper import MODULATION_SCALE
 from repro.phy.dtype import dtype_policy
@@ -170,120 +167,46 @@ def run_fused_group(batches, decode_chunk=FUSED_PACKET_TARGET):
     # Per-batch draws and channel parameters.  The generators replicate
     # LinkSimulator's derivation exactly: two streams spawned from the
     # batch seed, payload bits as one chunk-invariant int64 draw.
-    tx_rows, noise_rngs, snr_rows, gain_rows, scale_rows = [], [], [], [], []
+    segments = []
     for batch in batches:
         bparams = batch.point.params
         bits_seq, noise_seq = np.random.SeedSequence(batch.seed).spawn(2)
         bits_rng = np.random.default_rng(bits_seq)
-        noise_rngs.append(np.random.default_rng(noise_seq))
-        tx_rows.append(
-            bits_rng.integers(
-                0, 2, size=(batch.num_packets, packet_bits), dtype=np.int64
-            ).astype(np.uint8)
-        )
+        tx_bits = bits_rng.integers(
+            0, 2, size=(batch.num_packets, packet_bits), dtype=np.int64
+        ).astype(np.uint8)
+        noise = partial(awgn_batch, rng=np.random.default_rng(noise_seq),
+                        dtype=policy)
         snr = bparams["snr_db"]
-        snr_rows.append(np.full(batch.num_packets, float(snr)))
+        gains = llr_scale = None
         fading = _resolve_fading(bparams.get("fading"), batch.point.seed)
-        if fading is None:
-            gain_rows.append(None)
-        else:
+        if fading is not None:
             indices = batch.first_packet_index + np.arange(batch.num_packets)
-            gain_rows.append(
-                np.array([complex(fading(int(i))) for i in indices])
-            )
+            gains = np.array([complex(fading(int(i))) for i in indices])
         if scaled:
             # The same Python-float scalar the point's own scaled demapper
             # would have computed, replicated across the batch's packets.
-            scale_rows.append(np.full(
+            llr_scale = np.full(
                 batch.num_packets,
                 10.0 ** (snr / 10.0) * MODULATION_SCALE[rate.modulation.name],
-            ))
-
-    total = sum(batch.num_packets for batch in batches)
-    # Phase hooks observe stage wall-clock only — never values — so the
-    # traced and untraced passes produce identical tensors.
-    hook = get_phase_hook()
-    if hook is not None:
-        phase_ts = time.time()
-        phase_t0 = time.perf_counter()
-    samples = transmitter.transmit_batch(np.concatenate(tx_rows, axis=0))
-    if hook is not None:
-        hook("transmit", phase_ts, time.perf_counter() - phase_t0,
-             {"packets": total})
-
-    # Channel, per batch: fading gains, then AWGN from the batch's own
-    # noise generator (the one stage that must not fuse across batches).
-    gains_all = None
-    csi_all = None
-    if any(g is not None for g in gain_rows):
-        gains_all = np.concatenate(gain_rows)
-        num_symbols = receiver.geometry(packet_bits).num_symbols
-        csi_all = np.broadcast_to(
-            (np.abs(gains_all) ** 2)[:, np.newaxis], (total, num_symbols)
-        )
-    if hook is not None:
-        phase_ts = time.time()
-        phase_t0 = time.perf_counter()
-    received_rows = []
-    offset = 0
-    for batch, noise_rng, snrs, gains in zip(batches, noise_rngs, snr_rows,
-                                             gain_rows):
-        segment = samples[offset:offset + batch.num_packets]
-        if gains is not None:
-            segment = segment * gains[:, np.newaxis]
-        received_rows.append(
-            awgn_batch(segment, snrs, rng=noise_rng, dtype=policy)
-        )
-        offset += batch.num_packets
-    received = np.concatenate(received_rows, axis=0)
-    llr_scales = np.concatenate(scale_rows) if scaled else None
-    if hook is not None:
-        hook("channel", phase_ts, time.perf_counter() - phase_t0,
-             {"packets": total})
-
-    # Fused receive: front end and decode over every member at once,
-    # chunked to the decoder's sweet spot (row-independent, so chunk
-    # boundaries may fall anywhere).  The two stages interleave across
-    # chunks, so their hook durations accumulate over the loop and each
-    # reports once, anchored at its first chunk's start.
-    rx_rows = []
-    fe_dur = dec_dur = 0.0
-    fe_ts = dec_ts = 0.0
-    for start in range(0, total, decode_chunk):
-        stop = min(start + decode_chunk, total)
-        if hook is not None:
-            if start == 0:
-                fe_ts = time.time()
-            t0 = time.perf_counter()
-        soft = receiver.front_end_batch(
-            received[start:stop], packet_bits,
-            channel_gains=None if gains_all is None else gains_all[start:stop],
-            csi_weights=None if csi_all is None else csi_all[start:stop],
-            llr_scale=None if llr_scales is None else llr_scales[start:stop],
-        )
-        if hook is not None:
-            fe_dur += time.perf_counter() - t0
-            if start == 0:
-                dec_ts = time.time()
-            t0 = time.perf_counter()
-        rx_rows.append(receiver.decode_batch(soft, packet_bits).bits)
-        if hook is not None:
-            dec_dur += time.perf_counter() - t0
-    if hook is not None:
-        hook("front-end", fe_ts, fe_dur, {"packets": total})
-        hook("decode", dec_ts, dec_dur, {"packets": total})
-    rx_bits = np.vstack(rx_rows)
+            )
+        segments.append(ChainSegment(
+            tx_bits, noise, np.full(batch.num_packets, float(snr)),
+            gains, llr_scale))
+    rx_bits = run_chain(transmitter, receiver, packet_bits, segments,
+                        chunk=decode_chunk).bits
 
     results = []
     offset = 0
-    for batch, tx_bits in zip(batches, tx_rows):
-        bit_errors = tx_bits != rx_bits[offset:offset + batch.num_packets]
+    for segment in segments:
+        count = len(segment.tx_bits)
+        bit_errors = segment.tx_bits != rx_bits[offset:offset + count]
         results.append({
             "errors": int(bit_errors.sum()),
             "trials": int(bit_errors.size),
             "packet_errors": int(bit_errors.any(axis=1).sum()),
         })
-        offset += batch.num_packets
+        offset += count
     return results
 
 

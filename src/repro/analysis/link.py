@@ -9,24 +9,34 @@ BER-characterisation experiments feasible in pure Python.
 
 Batching design
 ---------------
-``_run_batch`` moves ``(packets, ...)`` tensors through the batch-native
-APIs of the PHY layer::
+:func:`run_chain` is the one function that runs the PHY chain: the link
+simulator, the fused multi-point rounds (:mod:`repro.analysis.fused`) and
+the closed-loop rate-adaptation link
+(:mod:`repro.mac.rateadapt.closedloop`) all hand it a list of
+:class:`ChainSegment` s and get decoded bits and LLRs back.  It moves
+``(packets, ...)`` tensors through the batch-native APIs of the PHY
+layer::
 
-    payload bits   (packets, packet_bits)   one chunk-invariant RNG draw
-    tx samples     (packets, num_samples)   Transmitter.transmit_batch
-    channel        (packets, num_samples)   per-packet fading gain applied
-                                            as one broadcast multiply, one
-                                            batched AWGN draw with
-                                            per-packet noise scale
-    soft values    (packets, 2*(bits+6))    Receiver.front_end_batch
-    decoded        (packets, packet_bits)   Receiver.decode_batch
+    payload bits   (packets, packet_bits)   drawn by the caller
+    tx samples     (packets, num_samples)   one Transmitter.transmit_batch
+    channel        (packets, num_samples)   per-segment fading gain as one
+                                            broadcast multiply, then the
+                                            segment's own noise source
+    soft values    (packets, 2*(bits+6))    Receiver.front_end_batch  } in
+    decoded        (packets, packet_bits)   Receiver.decode_batch     } chunks
 
-Per-packet SNRs and fading gains come from evaluating the user-supplied
-callables once per packet index (the only per-packet Python left -- the
-values are *applied* vectorised).  Payload bits and channel noise are drawn
-from two independent generators spawned from the master seed; both draws
-are chunk-invariant along the packet axis, so results are identical for
-any ``batch_size`` split of the same run.
+and it is the one place that reports the ``transmit``, ``channel``,
+``front-end`` and ``decode`` phases (see :mod:`repro.obs.phases`).  Every
+stage is row-independent, so where segments meet and where decode chunks
+split them never changes a row; the noise sources are never fused, so each
+segment's random stream is exactly what it would draw alone.
+
+For the simulator, per-packet SNRs and fading gains come from evaluating
+the user-supplied callables once per packet index (the only per-packet
+Python left -- the values are *applied* vectorised).  Payload bits and
+channel noise are drawn from two independent generators spawned from the
+master seed; both draws are chunk-invariant along the packet axis, so
+results are identical for any ``batch_size`` split of the same run.
 
 The simulator is deliberately independent of the latency-insensitive
 framework: the LI pipelines in :mod:`repro.system.pipelines` reuse the same
@@ -44,22 +54,148 @@ sweeping, adaptive stopping, process sharding and store-backed resume on
 top without changing a simulated bit.
 """
 
+import time
+from collections import namedtuple
+from functools import partial
+
 import numpy as np
 
 from repro.channel.awgn import awgn_batch
+from repro.obs.phases import get_phase_hook
 from repro.phy.dtype import dtype_policy
-from repro.phy.receiver import Receiver
+from repro.phy.receiver import Receiver, ReceiveResult
 from repro.phy.transmitter import Transmitter
 
 #: Packets per fused kernel pass.  The BCJR recursions dominate the
 #: chain's runtime and their per-packet cost falls with batch width until
 #: the backward sweep's working set outgrows the cache: measured on the
 #: Figure-6 workload the sweet spot is ~32 packets per decode, with cost
-#: rising again past ~48.  ``run`` therefore *fuses* consecutive batches
-#: into kernel passes of up to this many packets; thanks to
+#: rising again past ~48.  :func:`run_chain` therefore decodes in chunks
+#: of this many packets, and ``LinkSimulator.run`` *fuses* consecutive
+#: batches into kernel passes of up to this many packets; thanks to
 #: chunk-invariant RNG draws the results are bit-for-bit independent of
-#: the fusion width.
+#: both widths.
 FUSED_PACKET_TARGET = 32
+
+
+class ChainSegment(namedtuple(
+        "ChainSegment", "tx_bits noise snrs gains llr_scale",
+        defaults=(None, None))):
+    """One stretch of packets for :func:`run_chain`.
+
+    Attributes
+    ----------
+    tx_bits:
+        ``(packets, packet_bits)`` payload bits.
+    noise:
+        Callable ``noise(samples, snrs) -> received`` adding this
+        segment's channel noise, drawn from the segment's own generator(s).
+    snrs:
+        ``(packets,)`` Es/N0 per packet, in dB.
+    gains:
+        Optional ``(packets,)`` complex flat-fading gains; the receiver
+        equalises with them and weights its soft values by ``|gain|**2``.
+    llr_scale:
+        Optional ``(packets,)`` scaled-demapper factors (see
+        :meth:`~repro.phy.receiver.Receiver.front_end_batch`).
+    """
+
+    __slots__ = ()
+
+
+def _joined(rows):
+    return rows[0] if len(rows) == 1 else np.concatenate(rows)
+
+
+def _channel(samples, segments):
+    """Each segment's fading gains, then its own noise source."""
+    received = []
+    offset = 0
+    for segment in segments:
+        count = len(segment.tx_bits)
+        faded = samples[offset:offset + count]
+        if segment.gains is not None:
+            faded = faded * segment.gains[:, np.newaxis]
+        received.append(segment.noise(faded, segment.snrs))
+        offset += count
+    return _joined(received)
+
+
+def run_chain(transmitter, receiver, packet_bits, segments,
+              chunk=FUSED_PACKET_TARGET):
+    """Drive ``segments`` through transmit, channel, front end and decode.
+
+    One :meth:`~repro.phy.transmitter.Transmitter.transmit_batch` over
+    every segment's bits; then, per segment, its fading gains and its own
+    noise source (random streams are never fused); then front end and
+    decode over ``chunk``-wide slices.  Segments share a fading mode:
+    either all carry gains or none does, and likewise ``llr_scale``.
+
+    Returns a :class:`~repro.phy.receiver.ReceiveResult` whose ``bits``
+    and ``llr`` (``None`` for hard Viterbi) are ``(packets, packet_bits)``
+    in segment order.  Each phase is reported once per call with the
+    call's packet count; phase hooks read the clock only, so traced and
+    untraced runs produce identical tensors.
+    """
+    total = sum(len(segment.tx_bits) for segment in segments)
+    attrs = {"packets": total}
+    hook = get_phase_hook()
+    if hook is not None:
+        phase_ts = time.time()
+        phase_t0 = time.perf_counter()
+    samples = transmitter.transmit_batch(
+        _joined([segment.tx_bits for segment in segments]))
+    if hook is not None:
+        hook("transmit", phase_ts, time.perf_counter() - phase_t0, attrs)
+        phase_ts = time.time()
+        phase_t0 = time.perf_counter()
+    received = _channel(samples, segments)
+    # The transmitted samples are not needed past the channel; freeing
+    # them here keeps them out of the decoder's peak footprint.
+    del samples
+    if hook is not None:
+        hook("channel", phase_ts, time.perf_counter() - phase_t0, attrs)
+
+    gains = csi = llr_scale = None
+    if segments[0].gains is not None:
+        gains = _joined([segment.gains for segment in segments])
+        num_symbols = receiver.geometry(packet_bits).num_symbols
+        csi = np.broadcast_to((np.abs(gains) ** 2)[:, np.newaxis],
+                              (total, num_symbols))
+    if segments[0].llr_scale is not None:
+        llr_scale = _joined([segment.llr_scale for segment in segments])
+    # Front end and decode interleave across chunks, so their durations
+    # accumulate over the loop and each reports once, anchored at its
+    # first chunk's start.
+    bits, llrs = [], []
+    fe_dur = dec_dur = fe_ts = dec_ts = 0.0
+    for start in range(0, total, chunk):
+        rows = slice(start, min(start + chunk, total))
+        if hook is not None:
+            if start == 0:
+                fe_ts = time.time()
+            t0 = time.perf_counter()
+        soft = receiver.front_end_batch(
+            received[rows], packet_bits,
+            channel_gains=None if gains is None else gains[rows],
+            csi_weights=None if csi is None else csi[rows],
+            llr_scale=None if llr_scale is None else llr_scale[rows],
+        )
+        if hook is not None:
+            fe_dur += time.perf_counter() - t0
+            if start == 0:
+                dec_ts = time.time()
+            t0 = time.perf_counter()
+        decoded = receiver.decode_batch(soft, packet_bits)
+        if hook is not None:
+            dec_dur += time.perf_counter() - t0
+        bits.append(decoded.bits)
+        llrs.append(decoded.llr)
+    if hook is not None:
+        hook("front-end", fe_ts, fe_dur, attrs)
+        hook("decode", dec_ts, dec_dur, attrs)
+    return ReceiveResult(_joined(bits),
+                         None if llrs[0] is None else _joined(llrs))
 
 
 class LinkRunResult:
@@ -266,22 +402,13 @@ class LinkSimulator:
         tx_bits = self._bits_rng.integers(
             0, 2, size=(count, self.packet_bits), dtype=np.int64
         ).astype(np.uint8)
-        samples = self.transmitter.transmit_batch(tx_bits)
         snrs = self._snrs_for(indices)
-        gains = self._gains_for(indices)
-        csi = None
-        if gains is not None:
-            samples = samples * gains[:, np.newaxis]
-            num_symbols = self.receiver.geometry(self.packet_bits).num_symbols
-            csi = np.broadcast_to(
-                (np.abs(gains) ** 2)[:, np.newaxis], (count, num_symbols)
-            )
-        received = awgn_batch(samples, snrs, rng=self._noise_rng,
-                              dtype=self.dtype_policy)
-        soft = self.receiver.front_end_batch(
-            received, self.packet_bits, channel_gains=gains, csi_weights=csi
+        noise = partial(awgn_batch, rng=self._noise_rng,
+                        dtype=self.dtype_policy)
+        decoded = run_chain(
+            self.transmitter, self.receiver, self.packet_bits,
+            [ChainSegment(tx_bits, noise, snrs, self._gains_for(indices))],
         )
-        decoded = self.receiver.decode_batch(soft, self.packet_bits)
         return LinkRunResult(tx_bits, decoded.bits, decoded.llr, snrs)
 
     def __repr__(self):

@@ -336,8 +336,9 @@ def run_scenario_point(point):
     The canonical implementation behind fixed-depth link experiments.  The
     link configuration is validated as a :class:`Scenario` built from the
     point's params (axes plus constants); every point simulates exactly
-    ``num_packets`` packets from one seed stream (the wall-clock-pinned
-    perf benchmarks rely on this mode costing the same everywhere).
+    ``num_packets`` packets from one seed stream (the fixed-depth figure
+    benchmarks under ``benchmarks/`` rely on every point simulating the
+    same packets).
 
     Adaptive depth is not a point param: a ``stop`` param is refused with
     a :class:`ValueError` rather than silently run at fixed depth — pass

@@ -52,15 +52,10 @@ def awgn_batch(samples, snr_db, rng=None, signal_power=1.0, dtype=None):
     Parameters
     ----------
     samples:
-        ``(packets, num_samples)`` complex baseband samples, or a 3-D
-        ``(points, packets, num_samples)`` stack of operating points; a
-        stack is noised as one fused ``(points * packets)`` batch drawn
-        from the single ``rng`` (fusing *per-point* noise streams instead
-        requires one call per point, each with its own generator).
+        ``(packets, num_samples)`` complex baseband samples.
     snr_db:
-        Es/N0 in decibels -- a scalar shared by every packet, a
-        ``(packets,)`` array applying a different SNR per packet, or for a
-        stack a ``(points,)`` / ``(points, packets)`` array.
+        Es/N0 in decibels -- a scalar shared by every packet, or a
+        ``(packets,)`` array applying a different SNR per packet.
     rng:
         Optional :class:`numpy.random.Generator` for reproducibility.
     signal_power:
@@ -86,12 +81,6 @@ def awgn_batch(samples, snr_db, rng=None, signal_power=1.0, dtype=None):
     policy = dtype_policy(dtype)
     rng = np.random.default_rng() if rng is None else rng
     samples = np.asarray(samples, dtype=policy.complex_dtype)
-    stack_shape = None
-    if samples.ndim == 3:
-        stack_shape = samples.shape[:2]
-        samples = samples.reshape(-1, samples.shape[-1])
-        snr_db = np.broadcast_to(np.asarray(snr_db, dtype=float),
-                                 stack_shape).reshape(-1)
     if samples.ndim != 2:
         raise ValueError("awgn_batch expects a (packets, samples) array")
     variance = noise_variance_for_snr(np.asarray(snr_db, dtype=float), signal_power)
@@ -102,8 +91,6 @@ def awgn_batch(samples, snr_db, rng=None, signal_power=1.0, dtype=None):
     out = samples + scale[:, np.newaxis] * (noise[..., 0] + 1j * noise[..., 1])
     if not policy.exact:
         out = out.astype(policy.complex_dtype)
-    if stack_shape is not None:
-        out = out.reshape(stack_shape + (-1,))
     return out
 
 

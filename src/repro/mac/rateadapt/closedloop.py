@@ -30,9 +30,11 @@ only scoreboard on which a failed 54 Mb/s gamble and a timid 6 Mb/s crawl
 are priced honestly against each other.
 """
 
+from functools import partial
+
 import numpy as np
 
-from repro.analysis.link import LinkRunResult
+from repro.analysis.link import ChainSegment, LinkRunResult, run_chain
 from repro.channel.awgn import awgn
 from repro.channel.fading import JakesFadingProcess
 from repro.channel.reproducible import ReproducibleNoise
@@ -256,6 +258,14 @@ class ClosedLoopLink:
                  * self.packet_interval_s)
         return np.atleast_1d(self.fading.gain(times))
 
+    def _add_noise(self, indices, samples, snrs):
+        """Chain noise source: each packet noised from its own index's
+        generator, so a packet's noise never depends on its window."""
+        return np.stack([
+            awgn(row, snr, rng=self.noise.rng_for(int(index), purpose="noise"))
+            for row, snr, index in zip(samples, snrs, indices)
+        ])
+
     def decode_window(self, first_index, num_packets, batch_size=16,
                       estimator=None):
         """Decode packets ``[first_index, first_index + num_packets)`` at
@@ -275,33 +285,18 @@ class ClosedLoopLink:
         for rate_idx, rate in enumerate(self.rates):
             transmitter = Transmitter(rate)
             receiver = Receiver(rate, decoder=self.decoder)
-            geometry = receiver.geometry(self.packet_bits)
             for first in range(0, num_packets, batch_size):
-                count = min(batch_size, num_packets - first)
-                tx_bits = np.empty((count, self.packet_bits), dtype=np.uint8)
-                softs = []
-                for offset in range(count):
-                    row = first + offset
-                    index = first_index + row
-                    payload = self.noise.payload(index, self.packet_bits)
-                    tx_bits[offset] = payload
-                    samples = transmitter.transmit(payload)
-                    gain = gains[row]
-                    rng = self.noise.rng_for(index, purpose="noise")
-                    received = awgn(samples * gain, self.snr_db, rng=rng)
-                    csi = np.full(geometry.num_symbols, np.abs(gain) ** 2)
-                    softs.append(
-                        receiver.front_end(
-                            received,
-                            self.packet_bits,
-                            channel_gain=gain,
-                            csi_weights=csi,
-                        )
-                    )
-                decoded = receiver.decode_batch(np.vstack(softs),
-                                                self.packet_bits)
+                rows = slice(first, min(first + batch_size, num_packets))
+                indices = first_index + np.arange(rows.start, rows.stop)
+                tx_bits = np.stack([self.noise.payload(int(index),
+                                                       self.packet_bits)
+                                    for index in indices])
+                segment = ChainSegment(
+                    tx_bits, partial(self._add_noise, indices),
+                    np.full(len(indices), self.snr_db), gains[rows])
+                decoded = run_chain(transmitter, receiver, self.packet_bits,
+                                    [segment])
                 run = LinkRunResult(tx_bits, decoded.bits, decoded.llr, None)
-                rows = slice(first, first + count)
                 success[rows, rate_idx] = ~run.packet_errors
                 pber_actual[rows, rate_idx] = run.packet_ber
                 if decoded.llr is not None:

@@ -1,9 +1,17 @@
 """Opt-in kernel phase hooks: near-zero-cost timing taps for hot loops.
 
-The fused simulation round (:mod:`repro.analysis.fused`) and the BCJR
-kernel (:mod:`repro.phy.bcjr`) are the hot paths the paper's figures are
-about, so they cannot afford tracing machinery on every call.  Instead
-they poll one module-level hook:
+Two places report phases, and they are the hot paths the paper's figures
+are about:
+
+* :func:`repro.analysis.link.run_chain`, the one function that runs the
+  PHY chain (the link simulator, the fused rounds and the closed-loop
+  rate adaptation link all run through it), reports ``transmit``,
+  ``channel``, ``front-end`` and ``decode`` with a ``packets`` attr;
+* the BCJR kernel (:mod:`repro.phy.bcjr`) reports its ``bcjr.forward``,
+  ``bcjr.seed`` and ``bcjr.backward`` sweeps.
+
+Neither can afford tracing machinery on every call.  Instead they poll
+one module-level hook:
 
 * ``hook = get_phase_hook()`` once per call, then ``if hook is not
   None`` around each timed section — a single global load and a branch

@@ -191,20 +191,7 @@ class BcjrDecoder(ConvolutionalDecoder):
     # Decoding
     # ------------------------------------------------------------------ #
     def decode(self, soft, num_data_bits):
-        """Decode a batch (or stack of batches) of packets.
-
-        Besides the base-class 1-D / ``(batch, length)`` shapes, ``soft``
-        may be a 3-D ``(points, packets, length)`` stack of operating
-        points: every recursion is row-independent along the batch axis,
-        so the stack is decoded as one fused ``(points * packets)`` batch
-        — bit-for-bit what per-point calls would produce — and the result
-        arrays keep the ``(points, packets, ...)`` leading axes.
-        """
-        soft = np.asarray(soft)
-        stack_shape = None
-        if soft.ndim == 3:
-            stack_shape = soft.shape[:2]
-            soft = soft.reshape(-1, soft.shape[-1])
+        """Decode a 1-D packet or a ``(batch, length)`` batch of packets."""
         soft = reshape_soft_input(soft, self.trellis.n_out, dtype=self._dtype)
         batch, steps, _ = soft.shape
         self._check_length(steps, num_data_bits, self.trellis.code.memory)
@@ -391,7 +378,4 @@ class BcjrDecoder(ConvolutionalDecoder):
 
         bits = (llr > 0).astype(np.uint8)
         bits, llr = bits[:, :num_data_bits], llr[:, :num_data_bits]
-        if stack_shape is not None:
-            bits = bits.reshape(stack_shape + (num_data_bits,))
-            llr = llr.reshape(stack_shape + (num_data_bits,))
         return DecodeResult(bits=bits, llr=llr)

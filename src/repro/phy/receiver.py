@@ -215,23 +215,18 @@ class Receiver:
         Parameters
         ----------
         samples:
-            ``(packets, num_samples)`` received complex baseband samples,
-            or a 3-D ``(points, packets, num_samples)`` stack of operating
-            points sharing this receiver's rate: each stage is
-            row-independent, so the stack flows through as one fused
-            ``(points * packets)`` batch (bit-for-bit what per-point calls
-            produce) and the result keeps the stacked leading axes.
+            ``(packets, num_samples)`` received complex baseband samples.
         num_data_bits:
             Payload size the transmitter used (shared by every packet).
         channel_gains:
             Optional ``(packets,)`` complex flat-fading gains for ideal
-            per-packet equalisation (leading axes match ``samples``).
+            per-packet equalisation.
         csi_weights:
             Optional ``(packets, num_symbols)`` per-OFDM-symbol weights
             applied to the soft values (channel-state information).
         llr_scale:
             Optional per-packet ``Es/N0 * S_modulation`` factors (shape
-            ``(packets,)``) forwarded to the demapper — how a fused stack
+            ``(packets,)``) forwarded to the demapper — how a fused round
             applies a *different* scaled-demapper SNR per operating point.
 
         Returns
@@ -241,17 +236,6 @@ class Receiver:
             values ready for a batched trellis decode.
         """
         samples = np.asarray(samples, dtype=self.dtype_policy.complex_dtype)
-        if samples.ndim == 3:
-            stack = samples.shape[:2]
-            flat = lambda arr: (None if arr is None else
-                                np.asarray(arr).reshape((-1,) + np.asarray(arr).shape[2:]))
-            out = self.front_end_batch(
-                samples.reshape(-1, samples.shape[-1]), num_data_bits,
-                channel_gains=flat(channel_gains),
-                csi_weights=flat(csi_weights),
-                llr_scale=flat(llr_scale),
-            )
-            return out.reshape(stack + (-1,))
         if samples.ndim != 2:
             raise ValueError("front_end_batch expects a (packets, samples) array")
         geometry = self.geometry(num_data_bits)
@@ -277,26 +261,12 @@ class Receiver:
     # Decoding
     # ------------------------------------------------------------------ #
     def decode_batch(self, soft_batch, num_data_bits):
-        """Decode a ``(batch, length)`` array of depunctured soft values.
-
-        A 3-D ``(points, packets, length)`` stack decodes as one fused
-        batch (any decoder; the recursions are row-independent) and the
-        result keeps the stacked leading axes.
-        """
-        soft_batch = np.asarray(soft_batch)
-        stack = None
-        if soft_batch.ndim == 3:
-            stack = soft_batch.shape[:2]
-            soft_batch = soft_batch.reshape(-1, soft_batch.shape[-1])
-        result = self.decoder.decode(soft_batch, num_data_bits)
+        """Decode a ``(batch, length)`` array of depunctured soft values."""
+        result = self.decoder.decode(np.asarray(soft_batch), num_data_bits)
         # Every packet shares the scrambler seed, so the whole batch is
         # descrambled with one keystream XOR.
         descrambled = descramble(result.bits, seed=self.scrambler_seed)
-        llr = result.llr
-        if stack is not None:
-            descrambled = descrambled.reshape(stack + (-1,))
-            llr = None if llr is None else llr.reshape(stack + (-1,))
-        return ReceiveResult(bits=descrambled, llr=llr)
+        return ReceiveResult(bits=descrambled, llr=result.llr)
 
     def receive(self, samples, num_data_bits, channel_gain=None, csi_weights=None):
         """Process one packet end to end."""

@@ -149,17 +149,8 @@ class Transmitter:
         docstring for the per-stage shapes); there is no per-packet Python
         iteration.  Returns the complex baseband samples as a
         ``(packets, num_samples)`` array.
-
-        A 3-D ``(points, packets, num_data_bits)`` stack of operating
-        points is transmitted as one fused ``(points * packets)`` batch —
-        every stage is row-independent, so the result (reshaped back to
-        ``(points, packets, num_samples)``) is bit-for-bit what per-point
-        calls would produce.
         """
         bits = np.asarray(bits, dtype=np.uint8)
-        if bits.ndim == 3:
-            stacked = self.transmit_batch(bits.reshape(-1, bits.shape[-1]))
-            return stacked.reshape(bits.shape[:2] + (-1,))
         if bits.ndim != 2:
             raise ValueError("transmit_batch expects a (packets, bits) array")
         scrambled = self.scramble(bits)

@@ -18,8 +18,11 @@ its whole correctness story is *equivalence*:
   float64 default leaves every pre-existing hash unchanged.
 """
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.adaptive import (
     AdaptiveScheduler,
@@ -99,6 +102,55 @@ class TestFusedBitExactness:
         by_default = run_fused_group(batches)
         tiny_chunks = run_fused_group(batches, decode_chunk=5)
         assert by_default == tiny_chunks
+
+
+#: Decode chunk widths the grouping property is checked at: one packet,
+#: a width that splits batches mid-way, and the sweet-spot sizes.
+CHUNK_WIDTHS = (1, 7, 16, 32)
+
+
+@functools.lru_cache(maxsize=None)
+def grouping_pool(fading, scaled):
+    """Same-``fuse_key`` batches of uneven sizes at three SNRs, each with
+    its solo per-batch result.
+
+    Max-log BCJR decisions do not change when a packet's soft values are
+    scaled, so the scaled demapper is paired with a narrow LLR format,
+    whose saturation makes a wrong per-packet scale change the counts.
+    """
+    constants = {"demapper_scaled": scaled,
+                 "llr_format": 4 if scaled else None}
+    if fading:
+        constants["fading"] = {"doppler_hz": 50.0}
+    spec = SweepSpec({"rate_mbps": [24], "snr_db": [4.0, 5.5, 7.0]},
+                     constants=dict(constants, decoder="bcjr",
+                                    packet_bits=PACKET_BITS), seed=29)
+    batches = [MeasurementBatch(point, index, size)
+               for point, size in zip(spec.points(), (3, 5, 2))
+               for index in (0, 1)]
+    return batches, [run_link_ber_batch(batch) for batch in batches]
+
+
+class TestGroupingInvariance:
+    """A batch's counts do not depend on which batches share its fused
+    group, where it sits in the group, or where decode chunks split it."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(fading=st.booleans(), scaled=st.booleans(),
+           order=st.permutations(range(6)),
+           cuts=st.sets(st.integers(1, 5)),
+           chunk=st.sampled_from(CHUNK_WIDTHS))
+    def test_counts_equal_the_solo_run(self, fading, scaled, order, cuts,
+                                       chunk):
+        batches, solo = grouping_pool(fading, scaled)
+        edges = [0] + sorted(cuts) + [len(order)]
+        for lo, hi in zip(edges, edges[1:]):
+            members = order[lo:hi]
+            results = run_fused_group([batches[i] for i in members],
+                                      decode_chunk=chunk)
+            for i, got in zip(members, results):
+                for key in ("errors", "trials", "packet_errors"):
+                    assert got[key] == solo[i][key], (i, key, got, solo[i])
 
 
 class TestFusedFloat32:

@@ -16,6 +16,7 @@ import pytest
 from repro.analysis.adaptive import MeasurementBatch
 from repro.analysis.store import ResultStore
 from repro.analysis.sweep import SweepExecutor
+from repro.channel.awgn import awgn
 from repro.mac.evaluation import SoftRateEvaluation
 from repro.mac.rateadapt import (ClosedLoopLink, MinstrelController,
                                  PrecomputedOutcomes, RateAdaptExperiment,
@@ -25,6 +26,9 @@ from repro.mac.rateadapt import (ClosedLoopLink, MinstrelController,
 from repro.mac.rateadapt.closedloop import LinkTrajectory
 from repro.mac.softrate import SoftRateController
 from repro.phy.params import RATE_TABLE
+from repro.phy.receiver import Receiver
+from repro.phy.transmitter import Transmitter
+from repro.softphy.ber_estimator import BerEstimator
 
 SMALL_RATES = RATE_TABLE[:3]
 
@@ -152,6 +156,66 @@ class TestDecodeWindow:
                                                               batch_size=3)
         assert np.array_equal(from_eval.success, from_link.success)
         assert np.array_equal(from_eval.pber_estimate, from_link.pber_estimate)
+
+
+def per_packet_reference(link, first_index, num_packets, batch_size):
+    """The per-packet decode loop ``decode_window`` ran before it drove the
+    shared PHY chain, frozen here as an independent reference."""
+    estimator = BerEstimator(link.decoder)
+    gains = link.gains(first_index, num_packets)
+    success = np.zeros((num_packets, len(link.rates)), dtype=bool)
+    pber_estimate = np.ones((num_packets, len(link.rates)))
+    pber_actual = np.ones((num_packets, len(link.rates)))
+    for rate_idx, rate in enumerate(link.rates):
+        transmitter = Transmitter(rate)
+        receiver = Receiver(rate, decoder=link.decoder)
+        geometry = receiver.geometry(link.packet_bits)
+        for first in range(0, num_packets, batch_size):
+            count = min(batch_size, num_packets - first)
+            tx_bits = np.empty((count, link.packet_bits), dtype=np.uint8)
+            softs = []
+            for offset in range(count):
+                row = first + offset
+                index = first_index + row
+                payload = link.noise.payload(index, link.packet_bits)
+                tx_bits[offset] = payload
+                samples = transmitter.transmit(payload)
+                gain = gains[row]
+                rng = link.noise.rng_for(index, purpose="noise")
+                received = awgn(samples * gain, link.snr_db, rng=rng)
+                csi = np.full(geometry.num_symbols, np.abs(gain) ** 2)
+                softs.append(receiver.front_end(
+                    received, link.packet_bits, channel_gain=gain,
+                    csi_weights=csi))
+            decoded = receiver.decode_batch(np.vstack(softs),
+                                            link.packet_bits)
+            errors = tx_bits != decoded.bits
+            rows = slice(first, first + count)
+            success[rows, rate_idx] = ~errors.any(axis=1)
+            pber_actual[rows, rate_idx] = errors.mean(axis=1)
+            if decoded.llr is not None:
+                pber_estimate[rows, rate_idx] = estimator.packet_ber(
+                    np.abs(decoded.llr), rate.modulation)
+    return PrecomputedOutcomes(success, pber_estimate, pber_actual)
+
+
+class TestFrozenPerPacketReference:
+    """``decode_window`` against the per-packet loop it replaced: every
+    rate, every decoder, two Dopplers, a window off the stream's start."""
+
+    @pytest.mark.parametrize("batch_size", [3, 16])
+    @pytest.mark.parametrize("doppler_hz", [10.0, 80.0])
+    @pytest.mark.parametrize("decoder", ["bcjr", "sova", "viterbi"])
+    def test_matches_bit_for_bit(self, decoder, doppler_hz, batch_size):
+        link = ClosedLoopLink(snr_db=6.0, doppler_hz=doppler_hz,
+                              packet_bits=48, seed=11, decoder=decoder)
+        got = link.decode_window(5, 7, batch_size=batch_size)
+        expected = per_packet_reference(link, 5, 7, batch_size)
+        assert got.num_rates == len(RATE_TABLE)
+        assert not expected.success.all()  # some rates fail at 6 dB
+        assert np.array_equal(got.success, expected.success)
+        assert np.array_equal(got.pber_estimate, expected.pber_estimate)
+        assert np.array_equal(got.pber_actual, expected.pber_actual)
 
 
 class TestRunRateAdaptBatch:
